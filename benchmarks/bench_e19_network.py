@@ -13,7 +13,7 @@ import random
 import time
 
 from repro.bench.harness import Experiment, run_and_print
-from repro.globalq.async_protocol import NOISE_BASED, AsyncGlobalQuery
+from repro.globalq.async_protocol import AsyncGlobalQuery
 from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
 from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.globalq.queries import AggregateQuery
@@ -34,16 +34,16 @@ def make_nodes(num_pds: int):
     return [PdsNode(i, records) for i, records in enumerate(population)]
 
 
+def noise_family() -> NoiseProtocol:
+    """A fresh family object: both drivers start from the same seeds."""
+    return NoiseProtocol(TokenFleet(3), noise=NOISE, rng=random.Random(1))
+
+
 def run_pair(num_pds: int, loss: float):
     nodes = make_nodes(num_pds)
-    sync_report = NoiseProtocol(
-        TokenFleet(3), noise=NOISE, rng=random.Random(1)
-    ).run(nodes, QUERY)
+    sync_report = noise_family().run(nodes, QUERY)
     driver = AsyncGlobalQuery(
-        NOISE_BASED,
-        TokenFleet(3),
-        noise=NOISE,
-        rng=random.Random(1),
+        noise_family(),
         link=LinkProfile(latency_ms=10.0, jitter_ms=5.0, loss=loss),
         churn=CHURN if loss else None,
         num_tokens=16,
@@ -103,10 +103,7 @@ def test_e19_network_scale(benchmark):
 
     nodes = make_nodes(300)
     driver = AsyncGlobalQuery(
-        NOISE_BASED,
-        TokenFleet(3),
-        noise=NOISE,
-        rng=random.Random(1),
+        noise_family(),
         link=LinkProfile(latency_ms=10.0, jitter_ms=5.0, loss=0.05),
         churn=CHURN,
         token_failure_rate=0.1,

@@ -1,8 +1,8 @@
 """The census query as thousands of concurrent nodes on a lossy network.
 
-The synchronous drivers in ``examples/smart_city_census.py`` execute the
-[TNP14] phases as in-process calls. This example runs the *same* protocol
-through the :mod:`repro.net` asyncio runtime: every PDS is its own task,
+``examples/smart_city_census.py`` executes the [TNP14] phases as in-process
+calls. This example hands the *same* family objects to the :mod:`repro.net`
+asyncio runtime: every PDS is its own task,
 frames cross a simulated network with latency, jitter and 5% loss, 10% of
 nodes are offline at any instant, and a pool of trusted tokens claims
 partitions concurrently — some of which walk away mid-partition. The
@@ -15,12 +15,7 @@ Run with:  python examples/async_census.py
 import random
 import time
 
-from repro.globalq.async_protocol import (
-    FAMILIES,
-    HISTOGRAM_BASED,
-    NOISE_BASED,
-    AsyncGlobalQuery,
-)
+from repro.globalq.async_protocol import AsyncGlobalQuery
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
 from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
 from repro.globalq.protocol import PdsNode, TokenFleet
@@ -34,25 +29,21 @@ NOISE = NoisePlan(WHITE_NOISE, 1.0, tuple(CITIES))
 PRIOR = {city: 1.0 / (rank + 1) for rank, city in enumerate(CITIES)}
 
 
-def sync_protocol(family: str):
-    if family == NOISE_BASED:
-        return NoiseProtocol(TokenFleet(3), noise=NOISE, rng=random.Random(1))
-    if family == HISTOGRAM_BASED:
-        return HistogramProtocol(
+def families():
+    """Fresh family objects (fresh rngs), so the synchronous and the
+    asynchronous run of a family start from the same seeds."""
+    return [
+        SecureAggregationProtocol(TokenFleet(3), rng=random.Random(1)),
+        NoiseProtocol(TokenFleet(3), noise=NOISE, rng=random.Random(1)),
+        HistogramProtocol(
             TokenFleet(3), EquiDepthBucketizer(PRIOR, 3), rng=random.Random(1)
-        )
-    return SecureAggregationProtocol(TokenFleet(3), rng=random.Random(1))
+        ),
+    ]
 
 
-def async_driver(family: str) -> AsyncGlobalQuery:
+def async_driver(family) -> AsyncGlobalQuery:
     return AsyncGlobalQuery(
         family,
-        TokenFleet(3),
-        noise=NOISE if family == NOISE_BASED else None,
-        bucketizer=(
-            EquiDepthBucketizer(PRIOR, 3) if family == HISTOGRAM_BASED else None
-        ),
-        rng=random.Random(1),
         link=LinkProfile(latency_ms=10.0, jitter_ms=5.0, loss=0.05),
         churn=ChurnModel(offline_fraction=0.10, mean_online=0.03),
         num_tokens=16,
@@ -69,13 +60,13 @@ def main() -> None:
           "churn: 10% offline at any instant; 10% of tokens walk away")
 
     print("\n== 2. All three families, async == sync ==")
-    for family in FAMILIES:
-        sync_report = sync_protocol(family).run(nodes, QUERY)
+    for sync_family, async_family in zip(families(), families()):
+        sync_report = sync_family.run(nodes, QUERY)
         start = time.perf_counter()
-        report = async_driver(family).run_sync(nodes, QUERY)
+        report = async_driver(async_family).run_sync(nodes, QUERY)
         elapsed = time.perf_counter() - start
         metrics = report.net_metrics
-        print(f"{family:20s} equal={report.result == sync_report.result} "
+        print(f"{sync_family.name:20s} equal={report.result == sync_report.result} "
               f"exact={report.result == truth} "
               f"frames={metrics.frames_sent} "
               f"dropped={metrics.frames_dropped} "
@@ -83,7 +74,7 @@ def main() -> None:
               f"wall={elapsed:.2f}s")
 
     print("\n== 3. What the unreliability cost (noise-based family) ==")
-    report = async_driver(NOISE_BASED).run_sync(nodes, QUERY)
+    report = async_driver(families()[1]).run_sync(nodes, QUERY)
     metrics = report.net_metrics
     for key, value in metrics.summary().items():
         print(f"  {key}: {value}")

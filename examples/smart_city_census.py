@@ -70,15 +70,18 @@ def main() -> None:
     }
     attack = frequency_analysis(clean.ssi_tag_histogram, prior, mapping)
     print(f"  deterministic tags, no noise: attacker re-identifies "
-          f"{attack.tuple_accuracy:.0%} of tuples")
+          f"{attack.tuple_accuracy:.0%} of tuples "
+          f"(tag flatness {histogram_flatness(clean.ssi_tag_histogram):.2f})")
     noisy = reports["noise-based (1x fakes)"]
     attack_noisy = frequency_analysis(
         noisy.ssi_tag_histogram, prior, mapping,
         true_tuple_counts=dict(clean.ssi_tag_histogram),
     )
-    print(f"  with 1x fake tuples:          accuracy drops to "
-          f"{attack_noisy.tuple_accuracy:.0%} "
-          f"(tag flatness {histogram_flatness(noisy.ssi_tag_histogram):.2f})")
+    # Flatness is the stable signal; rank matching is discrete, so at 1x
+    # the accuracy moves a few points either way with the fake draw (E8).
+    print(f"  with 1x fake tuples:          tag flatness rises to "
+          f"{histogram_flatness(noisy.ssi_tag_histogram):.2f} "
+          f"(attacker accuracy {attack_noisy.tuple_accuracy:.0%})")
 
     print("\n== 4. A weakly malicious SSI gets caught ==")
     cheating = SecureAggregationProtocol(

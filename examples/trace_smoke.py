@@ -17,8 +17,8 @@ import random
 import sys
 
 from repro import obs
-from repro.globalq.async_protocol import NOISE_BASED, AsyncGlobalQuery
-from repro.globalq.noise import WHITE_NOISE, NoisePlan
+from repro.globalq.async_protocol import AsyncGlobalQuery
+from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
 from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.globalq.queries import AggregateQuery
 from repro.hardware.token import SecurePortableToken
@@ -48,10 +48,11 @@ def traced_census() -> int:
             group_by="city", where=(("kind", "profile"),)
         )
         driver = AsyncGlobalQuery(
-            NOISE_BASED,
-            TokenFleet(2),
-            noise=NoisePlan(WHITE_NOISE, 1.0, tuple(CITIES)),
-            rng=random.Random(1),
+            NoiseProtocol(
+                TokenFleet(2),
+                noise=NoisePlan(WHITE_NOISE, 1.0, tuple(CITIES)),
+                rng=random.Random(1),
+            ),
             link=LinkProfile(latency_ms=2.0, jitter_ms=1.0, loss=0.02),
             num_tokens=4,
         )

@@ -50,6 +50,7 @@ from repro.globalq.noise import (
 from repro.globalq.protocol import (
     AggregationOutcome,
     PdsNode,
+    ProtocolFamily,
     ProtocolReport,
     TokenFleet,
     TrustedAggregator,
@@ -80,33 +81,20 @@ from repro.globalq.verification import (
 # import reaches back here through secure_sum → globalq.parallel). Importing
 # it eagerly would close that loop into a genuine cycle; deferring it keeps
 # `from repro.globalq import AsyncGlobalQuery` working from any entry point.
-_ASYNC_EXPORTS = (
-    "AsyncGlobalQuery",
-    "FAMILIES",
-    "HISTOGRAM_BASED",
-    "NOISE_BASED",
-    "SECURE_AGGREGATION",
-)
-
-
 def __getattr__(name: str):
-    if name in _ASYNC_EXPORTS:
-        from repro.globalq import async_protocol
+    if name == "AsyncGlobalQuery":
+        from repro.globalq.async_protocol import AsyncGlobalQuery
 
-        return getattr(async_protocol, name)
+        return AsyncGlobalQuery
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
     "COMPLEMENTARY_NOISE",
     "DEFAULT_SHARD_SIZE",
-    "FAMILIES",
     "GLOBAL_GROUP",
-    "HISTOGRAM_BASED",
     "HONEST",
-    "NOISE_BASED",
     "NO_NOISE",
-    "SECURE_AGGREGATION",
     "WHITE_NOISE",
     "Accumulator",
     "AsyncGlobalQuery",
@@ -131,6 +119,7 @@ __all__ = [
     "NoiseProtocol",
     "Payload",
     "PdsNode",
+    "ProtocolFamily",
     "ProtocolReport",
     "SecureAggregationProtocol",
     "ShardedCollector",

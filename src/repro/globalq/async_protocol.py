@@ -1,17 +1,20 @@
 """Asynchronous [TNP14] drivers over the :mod:`repro.net` runtime.
 
-The synchronous family modules (:mod:`repro.globalq.secureagg`,
-:mod:`repro.globalq.noise`, :mod:`repro.globalq.histogram`) execute the
-three protocol phases as in-process calls. :class:`AsyncGlobalQuery` runs
-the *same* three phases as concurrent actors on a simulated network:
+:meth:`repro.globalq.protocol.ProtocolFamily.run` executes the three
+protocol phases as in-process calls. :class:`AsyncGlobalQuery` takes the
+same family object (:mod:`repro.globalq.secureagg`,
+:mod:`repro.globalq.noise`, :mod:`repro.globalq.histogram`) and runs the
+*same* three phases as concurrent actors on a simulated network:
 
-1. **Collection** — every PDS node is its own task under churn; each
-   contribution is a ``CONTRIB`` frame retransmitted with exponential
-   backoff until the SSI ACKs it. The SSI deduplicates retransmissions by
-   ``(sender, sequence)``, so the collected bag is exactly the synchronous
-   one no matter how lossy the links are.
-2. **Partitioning** — unchanged SSI-side logic (the family *is* the
-   partitioning rule), reusing
+1. **Collection** — contributions are prepared by the family's own
+   sharded collector (bit-identical to the synchronous driver's), then
+   every PDS node is its own task under churn; each contribution is a
+   ``CONTRIB`` frame retransmitted with exponential backoff until the SSI
+   ACKs it. The SSI deduplicates retransmissions by ``(sender,
+   sequence)``, so the collected bag is exactly the synchronous one no
+   matter how lossy the links are.
+2. **Partitioning** — the family's own rule (the family *is* the
+   partitioning rule), over
    :class:`~repro.globalq.ssi.SupportingServerInfrastructure` so covert
    SSI behaviours and observation recording carry over.
 3. **Aggregation** — a pool of connected tokens concurrently ``CLAIM``
@@ -29,29 +32,22 @@ equivalence is the subsystem's correctness anchor
 from __future__ import annotations
 
 import asyncio
-import math
 import random
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import NetTimeout, ProtocolError, RetriesExhausted
-from repro.globalq.histogram import EquiDepthBucketizer
 from repro.globalq.messages import EncryptedContribution
-from repro.globalq.noise import NoisePlan, plan_fakes
 from repro.globalq.protocol import (
     AggregationOutcome,
     PdsNode,
+    ProtocolFamily,
     ProtocolReport,
-    TokenFleet,
     TrustedAggregator,
     merge_outcomes,
 )
-from repro.globalq.queries import AggregateQuery, local_contributions
-from repro.globalq.ssi import (
-    HONEST,
-    SsiBehavior,
-    SupportingServerInfrastructure,
-)
+from repro.globalq.queries import AggregateQuery
+from repro.globalq.ssi import SupportingServerInfrastructure
 from repro.net.bus import LinkProfile, MessageBus
 from repro.net.codec import (
     KIND_ACK,
@@ -75,11 +71,6 @@ from repro.net.codec import (
 )
 from repro.net.retry import RetryPolicy, with_retries
 from repro.net.runtime import ChurnModel, NodeRuntime
-
-SECURE_AGGREGATION = "secure-aggregation"
-NOISE_BASED = "noise-based"
-HISTOGRAM_BASED = "histogram-based"
-FAMILIES = (SECURE_AGGREGATION, NOISE_BASED, HISTOGRAM_BASED)
 
 #: Sequence number reserved for the SSI -> querier PLAN exchange.
 _PLAN_SEQ = 0xFFFFFFFF
@@ -284,19 +275,15 @@ class _QuerierActor:
 class AsyncGlobalQuery:
     """Asynchronous driver for one [TNP14] protocol family.
 
-    Produces the same :class:`~repro.globalq.protocol.ProtocolReport` as the
-    synchronous drivers, with ``comm_*`` read off the network metrics and
-    ``report.net_metrics`` holding the full
+    ``family`` is the very object the synchronous driver runs — it brings
+    the fleet, the collection options, the partition rule, the SSI
+    behaviour and the rng. Produces the same
+    :class:`~repro.globalq.protocol.ProtocolReport`, with ``comm_*`` read
+    off the network metrics and ``report.net_metrics`` holding the full
     :class:`~repro.net.metrics.NetMetrics`.
     """
 
-    family: str
-    fleet: TokenFleet
-    noise: NoisePlan | None = None
-    bucketizer: EquiDepthBucketizer | None = None
-    partition_size: int | None = None
-    ssi_behavior: SsiBehavior = HONEST
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
+    family: ProtocolFamily
     num_tokens: int = 8
     token_failure_rate: float = 0.0
     churn: ChurnModel | None = None
@@ -308,10 +295,8 @@ class AsyncGlobalQuery:
     time_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, ProtocolFamily):
             raise ProtocolError(f"unknown protocol family {self.family!r}")
-        if self.family == HISTOGRAM_BASED and self.bucketizer is None:
-            raise ProtocolError("histogram family needs a bucketizer")
         if not 0.0 <= self.token_failure_rate < 1.0:
             raise ValueError("token failure rate must be in [0, 1)")
         if self.num_tokens < 1:
@@ -329,8 +314,10 @@ class AsyncGlobalQuery:
     async def run(
         self, nodes: list[PdsNode], query: AggregateQuery
     ) -> ProtocolReport:
+        family = self.family
+        rng = family.rng
         bus = MessageBus(
-            rng=random.Random(self.rng.getrandbits(32)),
+            rng=random.Random(rng.getrandbits(32)),
             default_link=self.link or LinkProfile(),
             time_scale=self.time_scale,
         )
@@ -348,23 +335,22 @@ class AsyncGlobalQuery:
         ]
         runtime = NodeRuntime(
             bus, churn=self.churn,
-            rng=random.Random(self.rng.getrandbits(32)),
+            rng=random.Random(rng.getrandbits(32)),
         )
 
-        # Local evaluation happens inside each token before any traffic, in
-        # deterministic node order — byte-identical to the synchronous
-        # drivers for the same fleet/rng seeds.
+        # Local evaluation happens inside each token before any traffic,
+        # through the family's own sharded collector — bit-identical to
+        # the synchronous driver for the same fleet and collection seed.
         prepared: list[tuple[str, list[EncryptedContribution]]] = []
         tuples_sent = fakes_sent = 0
-        for node in nodes:
-            contributions, num_fakes = self._prepare(node, query)
-            tuples_sent += len(contributions)
-            fakes_sent += num_fakes
-            name = f"pds-{node.pds_id}"
+        for item in family.collect(nodes, query):
+            tuples_sent += len(item.contributions)
+            fakes_sent += item.fake_count
+            name = f"pds-{item.pds_id}"
             runtime.register_node(name, queue_size=64)
-            prepared.append((name, contributions))
+            prepared.append((name, item.contributions))
 
-        core = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
+        core = SupportingServerInfrastructure(family.ssi_behavior, rng)
         ssi = _SsiActor(core, ssi_endpoint, self.assign_timeout)
         querier = _QuerierActor(querier_endpoint)
         stats = _TokenStats()
@@ -378,11 +364,11 @@ class AsyncGlobalQuery:
             # Stagger the first transmissions across a short window so ten
             # thousand nodes do not fire their first CONTRIB on the same
             # loop tick (a real deployment's uplinks are not synchronized).
-            stagger = random.Random(self.rng.getrandbits(32))
+            stagger = random.Random(rng.getrandbits(32))
             window = min(0.5, 0.00025 * len(prepared))
             with obs.span(
                 "protocol.collection",
-                family=self.family,
+                family=family.name,
                 nodes=len(prepared),
             ):
                 await asyncio.wait_for(
@@ -401,15 +387,15 @@ class AsyncGlobalQuery:
                 )
 
             metrics.set_phase("partitioning")
-            with obs.span("protocol.partitioning", family=self.family) as sp:
-                partitions = self._partition(core)
+            with obs.span("protocol.partitioning", family=family.name) as sp:
+                partitions = dict(enumerate(family.partition(core)))
                 ssi.open_aggregation(partitions)
                 sp.set(partitions=len(partitions))
 
             metrics.set_phase("aggregation")
             with obs.span(
                 "protocol.aggregation",
-                family=self.family,
+                family=family.name,
                 tokens=self.num_tokens,
             ):
                 worker_tasks = [
@@ -428,7 +414,7 @@ class AsyncGlobalQuery:
                     ) from None
 
             metrics.set_phase("merge")
-            with obs.span("protocol.merge", family=self.family):
+            with obs.span("protocol.merge", family=family.name):
                 ordered = [
                     querier.outcomes[pid] for pid in sorted(querier.outcomes)
                 ]
@@ -437,10 +423,9 @@ class AsyncGlobalQuery:
             await _cancel_all(service_tasks + worker_tasks)
             await bus.close()
 
-        suffix = f":{self.noise.mode}" if self.noise is not None else ""
         return ProtocolReport(
             result=result,
-            protocol=f"async-{self.family}{suffix}",
+            protocol=f"async-{family.label}",
             num_pds=len(nodes),
             tuples_sent=tuples_sent,
             fake_tuples_sent=fakes_sent,
@@ -455,49 +440,6 @@ class AsyncGlobalQuery:
             ssi_bucket_histogram=dict(core.observations.bucket_counts),
             net_metrics=metrics,
         )
-
-    # ------------------------------------------------------------------
-    # Per-family pieces
-    # ------------------------------------------------------------------
-    def _prepare(
-        self, node: PdsNode, query: AggregateQuery
-    ) -> tuple[list[EncryptedContribution], int]:
-        """Encrypt one node's contributions (plus planned fakes)."""
-        if self.family == NOISE_BASED:
-            real = local_contributions(node.records, query)
-            fakes = plan_fakes(real, self.noise or NoisePlan(), self.rng)
-            return (
-                node.contributions(
-                    query, self.fleet, with_group_tag=True, fakes=fakes
-                ),
-                len(fakes),
-            )
-        if self.family == HISTOGRAM_BASED:
-            return (
-                node.contributions(query, self.fleet, bucketizer=self.bucketizer),
-                0,
-            )
-        return node.contributions(query, self.fleet), 0
-
-    def _partition(
-        self, core: SupportingServerInfrastructure
-    ) -> dict[int, list[EncryptedContribution]]:
-        """Apply the family's partitioning rule; index partitions by id."""
-        if self.family == NOISE_BASED:
-            by_tag = core.partition_by_group_tag()
-            return {
-                index: by_tag[tag] for index, tag in enumerate(sorted(by_tag))
-            }
-        if self.family == HISTOGRAM_BASED:
-            by_bucket = core.partition_by_bucket()
-            return {
-                index: by_bucket[bucket]
-                for index, bucket in enumerate(sorted(by_bucket))
-            }
-        size = self.partition_size or max(
-            1, int(math.sqrt(max(1, len(core.stored))))
-        )
-        return dict(enumerate(core.partition_random(size)))
 
     # ------------------------------------------------------------------
     # Actor bodies
@@ -523,7 +465,7 @@ class AsyncGlobalQuery:
 
             try:
                 await with_retries(
-                    attempt, self.retry, self.rng,
+                    attempt, self.retry, self.family.rng,
                     description=f"{endpoint.name} contribution {sequence}",
                 )
             except RetriesExhausted:
@@ -534,7 +476,7 @@ class AsyncGlobalQuery:
         self, endpoint, stats: _TokenStats, metrics
     ) -> None:
         """One connected token: claim partitions until the SSI says FIN."""
-        rng = self.rng
+        rng = self.family.rng
         claim_seq = 0
         while True:
             claim_seq += 1
@@ -572,7 +514,7 @@ class AsyncGlobalQuery:
                 # SSI's reaper reassigns the (ciphertext) partition.
                 stats.walkaways += 1
                 continue
-            outcome = TrustedAggregator(self.fleet).aggregate(partition)
+            outcome = TrustedAggregator(self.family.fleet).aggregate(partition)
             stats.decryptions += len(partition)
             stats.invocations += 1
             payload = encode_outcome(pid, outcome)

@@ -15,24 +15,10 @@ partials carry every group of the bucket.
 
 from __future__ import annotations
 
-import random
-
 from repro.errors import ProtocolError
-from repro.globalq.parallel import (
-    DEFAULT_SHARD_SIZE,
-    ShardedCollector,
-    WorkerPool,
-)
-from repro.globalq.protocol import (
-    PdsNode,
-    ProtocolReport,
-    TokenFleet,
-    TrustedAggregator,
-    finalize_partials,
-)
-from repro.globalq.queries import AggregateQuery
-from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure, HONEST
-from repro.smc.parties import Channel
+from repro.globalq.messages import EncryptedContribution
+from repro.globalq.protocol import ProtocolFamily, TokenFleet
+from repro.globalq.ssi import SupportingServerInfrastructure
 
 
 class EquiDepthBucketizer:
@@ -73,100 +59,27 @@ class EquiDepthBucketizer:
         return self(group)
 
 
-class HistogramProtocol:
-    """The equi-depth bucket family."""
+class HistogramProtocol(ProtocolFamily):
+    """The equi-depth bucket family: one partition per cleartext bucket id."""
 
     name = "histogram-based"
 
     def __init__(
-        self,
-        fleet: TokenFleet,
-        bucketizer: EquiDepthBucketizer,
-        ssi_behavior: SsiBehavior = HONEST,
-        rng: random.Random | None = None,
-        workers: int | None = None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        collection_seed: int = 0,
-        pool: WorkerPool | None = None,
+        self, fleet: TokenFleet, bucketizer: EquiDepthBucketizer, **driver
     ) -> None:
-        self.fleet = fleet
+        super().__init__(fleet, **driver)
         self.bucketizer = bucketizer
-        self.ssi_behavior = ssi_behavior
-        self.rng = rng or random.Random(0)
-        #: ``None`` = original loop; an int routes collection through the
-        #: sharded executor (the bucketizer ships to workers whole — it is
-        #: a plain public mapping). ``pool`` reuses a persistent
-        #: :class:`WorkerPool` across queries.
-        self.workers = workers
-        self.shard_size = shard_size
-        self.collection_seed = collection_seed
-        self.pool = pool
 
-    def run(
-        self, nodes: list[PdsNode], query: AggregateQuery
-    ) -> ProtocolReport:
-        channel = Channel()
-        ssi = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
+    def collection_options(self) -> dict:
+        # The bucketizer ships to collection workers whole — it is a plain
+        # public mapping.
+        return {"bucketizer": self.bucketizer}
 
-        # Phase 1: collection with cleartext bucket ids.
-        tuples_sent = 0
-        if self.workers is None and self.pool is None:
-            for node in nodes:
-                contributions = node.contributions(
-                    query, self.fleet, bucketizer=self.bucketizer
-                )
-                tuples_sent += len(contributions)
-                for contribution in contributions:
-                    channel.send(
-                        f"pds-{node.pds_id}",
-                        "ssi",
-                        contribution.blob + b"\x00" * 4,
-                    )
-                ssi.collect(contributions)
-        else:
-            collector = ShardedCollector(
-                self.workers or 1, self.shard_size, self.collection_seed,
-                pool=self.pool,
-            )
-            collected = collector.collect(
-                nodes, query, self.fleet, bucketizer=self.bucketizer
-            )
-            for item in collected:
-                tuples_sent += len(item.contributions)
-                for contribution in item.contributions:
-                    channel.send(
-                        f"pds-{item.pds_id}",
-                        "ssi",
-                        contribution.blob + b"\x00" * 4,
-                    )
-                ssi.collect(item.contributions)
+    def wire_form(self, contribution: EncryptedContribution) -> bytes:
+        return contribution.blob + b"\x00" * 4  # the cleartext bucket id
 
-        # Phase 2: partition by bucket.
-        partitions = ssi.partition_by_bucket()
-
-        # Phase 3: per-bucket aggregation, querier merge.
-        outcomes = []
-        decryptions = 0
-        for index, (_, partition) in enumerate(sorted(partitions.items())):
-            for contribution in partition:
-                channel.send("ssi", f"aggregator-{index}", contribution.blob)
-            outcome = TrustedAggregator(self.fleet).aggregate(partition)
-            decryptions += len(partition)
-            outcomes.append(outcome)
-        result, failures, duplicates = finalize_partials(
-            outcomes, query, channel
-        )
-        return ProtocolReport(
-            result=result,
-            protocol=self.name,
-            num_pds=len(nodes),
-            tuples_sent=tuples_sent,
-            fake_tuples_sent=0,
-            token_decryptions=decryptions,
-            token_invocations=len(partitions) + 1,
-            comm_bytes=channel.stats.bytes,
-            comm_messages=channel.stats.messages,
-            integrity_failures=failures,
-            duplicates_detected=duplicates,
-            ssi_bucket_histogram=dict(ssi.observations.bucket_counts),
-        )
+    def partition(
+        self, ssi: SupportingServerInfrastructure
+    ) -> list[list[EncryptedContribution]]:
+        by_bucket = ssi.partition_by_bucket()
+        return [by_bucket[bucket] for bucket in sorted(by_bucket)]

@@ -20,21 +20,9 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.globalq.parallel import (
-    DEFAULT_SHARD_SIZE,
-    ShardedCollector,
-    WorkerPool,
-)
-from repro.globalq.protocol import (
-    PdsNode,
-    ProtocolReport,
-    TokenFleet,
-    TrustedAggregator,
-    finalize_partials,
-)
-from repro.globalq.queries import AggregateQuery, local_contributions
-from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure, HONEST
-from repro.smc.parties import Channel
+from repro.globalq.messages import EncryptedContribution
+from repro.globalq.protocol import ProtocolFamily, TokenFleet
+from repro.globalq.ssi import SupportingServerInfrastructure
 
 WHITE_NOISE = "white"
 COMPLEMENTARY_NOISE = "complementary"
@@ -75,105 +63,30 @@ def plan_fakes(
     ]
 
 
-class NoiseProtocol:
-    """The deterministic-encryption + fake-tuples family."""
+class NoiseProtocol(ProtocolFamily):
+    """The deterministic-encryption + fake-tuples family: one partition per tag."""
 
     name = "noise-based"
 
     def __init__(
-        self,
-        fleet: TokenFleet,
-        noise: NoisePlan | None = None,
-        ssi_behavior: SsiBehavior = HONEST,
-        rng: random.Random | None = None,
-        workers: int | None = None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        collection_seed: int = 0,
-        pool: WorkerPool | None = None,
+        self, fleet: TokenFleet, noise: NoisePlan | None = None, **driver
     ) -> None:
-        self.fleet = fleet
+        super().__init__(fleet, **driver)
         self.noise = noise or NoisePlan()
-        self.ssi_behavior = ssi_behavior
-        self.rng = rng or random.Random(0)
-        #: ``None`` = original loop; an int routes collection through the
-        #: sharded executor (fakes then draw from per-shard seeds, so the
-        #: result is identical for every worker count). ``pool`` reuses a
-        #: persistent :class:`WorkerPool` across queries.
-        self.workers = workers
-        self.shard_size = shard_size
-        self.collection_seed = collection_seed
-        self.pool = pool
 
-    def run(
-        self, nodes: list[PdsNode], query: AggregateQuery
-    ) -> ProtocolReport:
-        channel = Channel()
-        ssi = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
+    @property
+    def label(self) -> str:
+        return f"{self.name}:{self.noise.mode}"
 
-        # Phase 1: collection with deterministic group tags + planned fakes.
-        tuples_sent = fakes_sent = 0
-        if self.workers is None and self.pool is None:
-            for node in nodes:
-                real = local_contributions(node.records, query)
-                fakes = plan_fakes(real, self.noise, self.rng)
-                contributions = node.contributions(
-                    query, self.fleet, with_group_tag=True, fakes=fakes
-                )
-                tuples_sent += len(contributions)
-                fakes_sent += len(fakes)
-                for contribution in contributions:
-                    channel.send(
-                        f"pds-{node.pds_id}",
-                        "ssi",
-                        contribution.blob + (contribution.group_tag or b""),
-                    )
-                ssi.collect(contributions)
-        else:
-            collector = ShardedCollector(
-                self.workers or 1, self.shard_size, self.collection_seed,
-                pool=self.pool,
-            )
-            collected = collector.collect(
-                nodes, query, self.fleet, with_group_tag=True,
-                noise=self.noise,
-            )
-            for item in collected:
-                tuples_sent += len(item.contributions)
-                fakes_sent += item.fake_count
-                for contribution in item.contributions:
-                    channel.send(
-                        f"pds-{item.pds_id}",
-                        "ssi",
-                        contribution.blob + (contribution.group_tag or b""),
-                    )
-                ssi.collect(item.contributions)
+    def collection_options(self) -> dict:
+        # Fakes draw from the per-shard seeds, like the cipher nonces.
+        return {"with_group_tag": True, "noise": self.noise}
 
-        # Phase 2: the SSI groups by tag — one partition per (apparent) group.
-        partitions = ssi.partition_by_group_tag()
+    def wire_form(self, contribution: EncryptedContribution) -> bytes:
+        return contribution.blob + (contribution.group_tag or b"")
 
-        # Phase 3: per-group aggregation by trusted tokens, querier merge.
-        outcomes = []
-        decryptions = 0
-        for index, (_, partition) in enumerate(sorted(partitions.items())):
-            for contribution in partition:
-                channel.send("ssi", f"aggregator-{index}", contribution.blob)
-            outcome = TrustedAggregator(self.fleet).aggregate(partition)
-            decryptions += len(partition)
-            outcomes.append(outcome)
-        result, failures, duplicates = finalize_partials(
-            outcomes, query, channel
-        )
-        return ProtocolReport(
-            result=result,
-            protocol=f"{self.name}:{self.noise.mode}",
-            num_pds=len(nodes),
-            tuples_sent=tuples_sent,
-            fake_tuples_sent=fakes_sent,
-            token_decryptions=decryptions,
-            token_invocations=len(partitions) + 1,
-            comm_bytes=channel.stats.bytes,
-            comm_messages=channel.stats.messages,
-            integrity_failures=failures,
-            duplicates_detected=duplicates,
-            ssi_tag_histogram=dict(ssi.observations.group_tag_counts),
-        )
+    def partition(
+        self, ssi: SupportingServerInfrastructure
+    ) -> list[list[EncryptedContribution]]:
+        by_tag = ssi.partition_by_group_tag()
+        return [by_tag[tag] for tag in sorted(by_tag)]

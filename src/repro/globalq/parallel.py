@@ -1,10 +1,10 @@
 """Sharded parallel execution of the [TNP14] collection phase.
 
 The collection phase is embarrassingly parallel — every PDS encrypts its
-own contributions with fleet-wide keys — yet the protocol drivers iterated
-nodes one at a time, capping experiments at a few thousand PDSs. This
-module fans collection out over a process pool without giving up
-reproducibility:
+own contributions with fleet-wide keys. This module is its one execution
+path: every driver (synchronous, asynchronous, served) collects through
+:class:`ShardedCollector`, which may fan shards out over a process pool
+without giving up reproducibility:
 
 * the population is cut into fixed-size **shards** (shard geometry never
   depends on the worker count);
@@ -17,9 +17,10 @@ reproducibility:
   key-derivation seed, so no key material crosses the process boundary
   inside live objects.
 
-``workers=1`` is a true serial fallback (no pool, no pickling) that runs
-the very same shard function, which is what makes ``parallel == serial``
-an *exact* equality the tests and bench E23 assert, not an approximation.
+``workers=1`` runs the very same shard function inline (no pool, no
+pickling), which is what makes ``parallel == serial`` an *exact* equality
+the tests and bench E23 assert, not an approximation: ``workers`` and
+``pool`` only choose *where* shards run, never what they produce.
 
 The same machinery drives the Paillier secure-sum collection
 (:func:`collect_encrypted_sum`): each shard encrypts its sites through a
@@ -63,16 +64,15 @@ def shard_slices(count: int, shard_size: int) -> list[tuple[int, int]]:
 class WorkerPool:
     """A persistent process pool shared across repeated collections.
 
-    The per-call paths below spawn (and tear down) a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor` on every collect —
-    fine for one-shot benches, ruinous for a long-lived query service
-    where every query would pay worker start-up again. A ``WorkerPool``
-    keeps the workers alive between calls: pass it to
-    :class:`ShardedCollector`/:func:`collect_encrypted_sum` (or the
-    protocol families' ``pool=`` argument) and call :meth:`close` when the
-    service shuts down. Shard seeds do not depend on which pool executes
-    them, so routing through a shared pool cannot change a single
-    ciphertext.
+    A call with ``workers > 1`` and no pool opens one for its own
+    duration — fine for one-shot benches, ruinous for a long-lived query
+    service where every query would pay worker start-up again. Pass a
+    ``WorkerPool`` to :class:`ShardedCollector`/
+    :func:`collect_encrypted_sum` (or the protocol families' ``pool=``
+    argument) to keep the workers alive between calls, and call
+    :meth:`close` when the service shuts down. Shard seeds do not depend
+    on which pool executes them, so routing through a shared pool cannot
+    change a single ciphertext.
 
     ``submit`` is thread-safe (it delegates to the executor), so
     concurrent queries of one service can share one pool.
@@ -113,6 +113,32 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def run_shards(fn, tasks, span_name, describe, workers, pool):
+    """Run ``fn`` over ``tasks``; yield each result inside its shard span.
+
+    The one drain both sharded phases share. Shards run inline when
+    ``workers == 1`` and no pool was passed; otherwise on ``pool``, or on a
+    :class:`WorkerPool` opened for this call. Results come back in shard
+    order, each yielded while its ``span_name`` span (inline execution, or
+    the wait for the worker's result) is still open, so whatever the
+    consumer records per shard is charged to that span.
+    """
+    if pool is None and workers > 1:
+        with WorkerPool(workers) as own:
+            yield from run_shards(fn, tasks, span_name, describe, workers, own)
+        return
+    if pool is None:
+        pending = ((task, None) for task in tasks)
+    else:
+        pending = [(task, pool.submit(fn, task)) for task in tasks]
+    for task, future in pending:
+        with obs.span(
+            span_name, shard=task.shard_index, **describe(task)
+        ) as shard_span:
+            result = fn(task) if future is None else future.result()
+            yield telemetry.adopt(result, shard_span)
 
 
 # ----------------------------------------------------------------------
@@ -199,9 +225,10 @@ class ShardedCollector:
     """Runs the collection phase over deterministic shards, optionally pooled.
 
     ``workers=1`` executes shards inline; ``workers>1`` fans them out over
-    a :class:`~concurrent.futures.ProcessPoolExecutor`. Results always come
-    back in shard order. One ``globalq.collect.shard`` obs span brackets
-    each shard (inline execution, or the wait for its worker result).
+    ``pool`` (or a :class:`WorkerPool` opened for the call). Results always
+    come back in shard order. One ``globalq.collect.shard`` obs span
+    brackets each shard (inline execution, or the wait for its worker
+    result).
     """
 
     def __init__(
@@ -213,17 +240,25 @@ class ShardedCollector:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        #: A persistent :class:`WorkerPool` to reuse instead of spawning a
-        #: fresh process pool per collect; ``workers`` then follows the
-        #: pool's width. ``None`` keeps the legacy per-call behaviour.
+        #: A persistent :class:`WorkerPool` to run shards on; ``workers``
+        #: then follows the pool's width.
         self.pool = pool
         self.workers = pool.workers if pool is not None else workers
         self.shard_size = shard_size
         self.base_seed = base_seed
 
-    def _tasks(self, nodes, query, fleet, with_group_tag, bucketizer, noise):
+    def collect(
+        self,
+        nodes,
+        query: AggregateQuery,
+        fleet,
+        with_group_tag: bool = False,
+        bucketizer=None,
+        noise=None,
+    ) -> list[NodeContributions]:
+        """Collect the whole population; flat list in population order."""
         trace = telemetry.propagated()
-        return [
+        tasks = [
             CollectTask(
                 shard_index=index,
                 shard_seed=shard_seed(self.base_seed, index),
@@ -239,49 +274,13 @@ class ShardedCollector:
                 shard_slices(len(nodes), self.shard_size)
             )
         ]
-
-    def collect(
-        self,
-        nodes,
-        query: AggregateQuery,
-        fleet,
-        with_group_tag: bool = False,
-        bucketizer=None,
-        noise=None,
-    ) -> list[NodeContributions]:
-        """Collect the whole population; flat list in population order."""
-        tasks = self._tasks(
-            nodes, query, fleet, with_group_tag, bucketizer, noise
-        )
         results: list[NodeContributions] = []
-
-        def drain(submit) -> None:
-            futures = [submit(collect_shard, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                with obs.span(
-                    "globalq.collect.shard",
-                    shard=task.shard_index,
-                    nodes=len(task.nodes),
-                ) as shard_span:
-                    results.extend(
-                        telemetry.adopt(future.result(), shard_span)
-                    )
-
-        if self.pool is not None:
-            drain(self.pool.submit)
-        elif self.workers == 1:
-            for task in tasks:
-                with obs.span(
-                    "globalq.collect.shard",
-                    shard=task.shard_index,
-                    nodes=len(task.nodes),
-                ) as shard_span:
-                    results.extend(
-                        telemetry.adopt(collect_shard(task), shard_span)
-                    )
-        else:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                drain(pool.submit)
+        for shard in run_shards(
+            collect_shard, tasks, "globalq.collect.shard",
+            lambda task: {"nodes": len(task.nodes)},
+            self.workers, self.pool,
+        ):
+            results.extend(shard)
         return results
 
 
@@ -368,8 +367,8 @@ def collect_encrypted_sum(
     """Sharded batched encryption of ``values``; partials in shard order.
 
     ``pool`` reuses a persistent :class:`WorkerPool` (the worker count then
-    follows the pool); ``None`` keeps the legacy behaviour of spawning a
-    process pool per call when ``workers > 1``.
+    follows the pool); without one, ``workers > 1`` opens a pool for the
+    call.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -390,39 +389,20 @@ def collect_encrypted_sum(
             shard_slices(len(values), shard_size)
         )
     ]
+    from repro.crypto.fastexp import count_modexp
+
+    # Workers count their exponentiations in their own process; mirror
+    # them into this process's registry. An adopted exec span's counters
+    # land in the shard span's child counts, cancelling the mirror out of
+    # its self_counters.
+    remote = pool is not None or workers > 1
     results: list[SumShardResult] = []
-
-    def drain(submit) -> None:
-        from repro.crypto.fastexp import count_modexp
-
-        futures = [submit(sum_shard, task) for task in tasks]
-        for task, future in zip(tasks, futures):
-            with obs.span(
-                "smc.secure_sum.shard",
-                shard=task.shard_index,
-                sites=len(task.values),
-            ) as shard_span:
-                result = telemetry.adopt(future.result(), shard_span)
-                # Workers counted their exponentiations in their own
-                # process; mirror them into this process's registry. An
-                # adopted exec span's counters land in shard_span's child
-                # counts, cancelling the mirror out of its self_counters.
-                count_modexp(result.modexps)
-                results.append(result)
-
-    if pool is not None:
-        drain(pool.submit)
-    elif workers == 1:
-        for task in tasks:
-            with obs.span(
-                "smc.secure_sum.shard",
-                shard=task.shard_index,
-                sites=len(task.values),
-            ) as shard_span:
-                results.append(
-                    telemetry.adopt(sum_shard(task), shard_span)
-                )
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            drain(executor.submit)
+    for result in run_shards(
+        sum_shard, tasks, "smc.secure_sum.shard",
+        lambda task: {"sites": len(task.values)},
+        workers, pool,
+    ):
+        if remote:
+            count_modexp(result.modexps)
+        results.append(result)
     return results

@@ -1,6 +1,6 @@
-"""Shared machinery of the [TNP14] protocol families.
+"""The one driver of the [TNP14] protocol families.
 
-All three families follow the same three-phase skeleton the tutorial draws:
+All three families are the same three-phase skeleton the tutorial draws:
 
 1. **Collection** — each PDS evaluates the WHERE locally and pushes
    encrypted contributions to the SSI;
@@ -12,8 +12,17 @@ All three families follow the same three-phase skeleton the tutorial draws:
    authenticity, partially aggregate, and the querier's token merges the
    partials into the final answer.
 
-This module provides the fleet key material, the PDS node, the trusted
-aggregator and the report type; the family modules compose them.
+A family is therefore *data over one driver*: what a contribution exposes
+next to its encrypted blob (nothing / a deterministic group tag plus fakes /
+a cleartext bucket id) and hence how the SSI may partition.
+:class:`ProtocolFamily` owns the skeleton — collection through the sharded
+collector, channel accounting, the aggregator retry loop, report assembly —
+and the family modules (:mod:`~repro.globalq.secureagg`,
+:mod:`~repro.globalq.noise`, :mod:`~repro.globalq.histogram`) contribute only
+their collection options, wire form and partition rule. The asynchronous
+driver (:mod:`repro.globalq.async_protocol`) runs the same family objects
+over a simulated network. This module also provides the fleet key material,
+the PDS node, the trusted aggregator and the report type.
 """
 
 from __future__ import annotations
@@ -29,7 +38,14 @@ from repro.globalq.messages import (
     pack_payload,
     unpack_payload,
 )
+from repro.globalq.parallel import (
+    DEFAULT_SHARD_SIZE,
+    NodeContributions,
+    ShardedCollector,
+    WorkerPool,
+)
 from repro.globalq.queries import Accumulator, AggregateQuery, local_contributions
+from repro.globalq.ssi import HONEST, SsiBehavior, SupportingServerInfrastructure
 from repro.smc.parties import Channel
 from repro.workloads.people import PersonRecord
 
@@ -56,8 +72,9 @@ class TokenFleet:
         """A non-deterministic cipher bound to the fleet payload key.
 
         ``seed`` pins the nonce stream (sharded collection derives one seed
-        per PDS so results do not depend on worker scheduling); when absent
-        the fleet's own rng supplies it, as before.
+        per PDS so results do not depend on worker scheduling, and
+        decrypt-only holders pass a constant); when absent the fleet's own
+        rng supplies it.
         """
         if seed is None:
             seed = self._rng.getrandbits(64)
@@ -143,7 +160,9 @@ class TrustedAggregator:
 
     def __init__(self, fleet: TokenFleet) -> None:
         self.fleet = fleet
-        self._cipher = fleet.payload_cipher()
+        # Decrypt-only: a fixed nonce seed keeps the fleet's shared rng
+        # untouched, so concurrent served queries cannot perturb it.
+        self._cipher = fleet.payload_cipher(seed=0)
 
     def aggregate(
         self, partition: list[EncryptedContribution]
@@ -213,9 +232,9 @@ def merge_outcomes(
     the covert-adversary countermeasure is *detection*, which is why the
     report carries ``duplicates_detected`` rather than a corrected result.
     Returns ``(result, integrity_failures, duplicates_detected)``. Shared by
-    the synchronous drivers (via :func:`finalize_partials`, which adds
-    channel accounting) and :mod:`repro.globalq.async_protocol` (whose
-    partials already crossed the simulated network).
+    :meth:`ProtocolFamily.run` (which adds channel accounting) and
+    :mod:`repro.globalq.async_protocol` (whose partials already crossed the
+    simulated network).
     """
     merged = Accumulator()
     failures = 0
@@ -230,16 +249,139 @@ def merge_outcomes(
     return merged.finalize(query), failures, duplicates
 
 
-def finalize_partials(
-    outcomes: list[AggregationOutcome],
-    query: AggregateQuery,
-    channel: Channel,
-) -> tuple[dict[str, float], int, int]:
-    """Querier-token merge of the partial aggregates (synchronous path)."""
-    for index, outcome in enumerate(outcomes):
-        channel.send(
-            f"aggregator-{index}",
-            "querier",
-            outcome.accumulator.serialized_size(),
+class ProtocolFamily:
+    """One [TNP14] family: collection options + partition rule, one driver.
+
+    Subclasses say what a contribution exposes (:meth:`collection_options`,
+    :meth:`wire_form`) and how the SSI may therefore partition
+    (:meth:`partition`); :meth:`run` is the only place the
+    collection → partitioning → aggregation → report sequence is written.
+    ``workers``/``pool`` only choose where collection shards run (``1`` =
+    inline, ``>1`` or a persistent :class:`WorkerPool` = worker processes);
+    shard geometry and seeds never depend on them, so every setting
+    produces bit-identical contributions.
+    """
+
+    name = ""
+
+    def __init__(
+        self,
+        fleet: TokenFleet,
+        ssi_behavior: SsiBehavior = HONEST,
+        rng: random.Random | None = None,
+        aggregator_failure_rate: float = 0.0,
+        workers: int = 1,
+        shard_size: int = DEFAULT_SHARD_SIZE,
+        collection_seed: int = 0,
+        pool: WorkerPool | None = None,
+    ) -> None:
+        if not 0.0 <= aggregator_failure_rate < 1.0:
+            raise ValueError("failure rate must be in [0, 1)")
+        self.fleet = fleet
+        self.ssi_behavior = ssi_behavior
+        self.rng = rng or random.Random(0)
+        #: Probability that an assigned token disconnects before answering.
+        #: Tokens are "low powered, highly disconnected": the SSI simply
+        #: reassigns the (ciphertext) partition to another connected token.
+        self.aggregator_failure_rate = aggregator_failure_rate
+        self.workers = workers
+        self.shard_size = shard_size
+        self.collection_seed = collection_seed
+        self.pool = pool
+
+    # ------------------------------------------------------------------
+    # What a family is
+    # ------------------------------------------------------------------
+    @property
+    def label(self) -> str:
+        """The ``ProtocolReport.protocol`` string of a run."""
+        return self.name
+
+    def collection_options(self) -> dict:
+        """``ShardedCollector.collect`` options: what contributions expose."""
+        return {}
+
+    def wire_form(self, contribution: EncryptedContribution) -> bytes:
+        """What one contribution costs on the PDS → SSI link."""
+        return contribution.blob
+
+    def partition(
+        self, ssi: SupportingServerInfrastructure
+    ) -> list[list[EncryptedContribution]]:
+        """The family's ``ssi.partition_*`` rule, as an ordered list."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # The driver
+    # ------------------------------------------------------------------
+    def collect(
+        self, nodes: list[PdsNode], query: AggregateQuery
+    ) -> list[NodeContributions]:
+        """Phase 1 as every driver runs it: deterministic shards."""
+        return ShardedCollector(
+            self.workers, self.shard_size, self.collection_seed,
+            pool=self.pool,
+        ).collect(nodes, query, self.fleet, **self.collection_options())
+
+    def run(
+        self, nodes: list[PdsNode], query: AggregateQuery
+    ) -> ProtocolReport:
+        """The three phases, in-process; every cost lands in the report."""
+        channel = Channel()
+        ssi = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
+
+        # Phase 1: collection — every PDS uploads what its family exposes.
+        tuples_sent = fakes_sent = 0
+        for item in self.collect(nodes, query):
+            tuples_sent += len(item.contributions)
+            fakes_sent += item.fake_count
+            sender = f"pds-{item.pds_id}"
+            for contribution in item.contributions:
+                channel.send(sender, "ssi", self.wire_form(contribution))
+            ssi.collect(item.contributions)
+
+        # Phase 2: partitioning — the family *is* this rule.
+        partitions = self.partition(ssi)
+
+        # Phase 3: one trusted token per partition, then the querier merge.
+        # A token may disconnect mid-partition; the SSI reassigns the same
+        # ciphertext partition to another token (pure retry: aggregation is
+        # deterministic and side-effect free until the partial is returned).
+        outcomes = []
+        decryptions = 0
+        retries = 0
+        for index, partition in enumerate(partitions):
+            while True:
+                for contribution in partition:
+                    channel.send("ssi", f"aggregator-{index}", contribution.blob)
+                if self.rng.random() < self.aggregator_failure_rate:
+                    retries += 1
+                    if retries > 100 * max(1, len(partitions)):
+                        raise RuntimeError("no connected tokens available")
+                    continue
+                outcomes.append(TrustedAggregator(self.fleet).aggregate(partition))
+                decryptions += len(partition)
+                break
+        for index, outcome in enumerate(outcomes):
+            channel.send(
+                f"aggregator-{index}",
+                "querier",
+                outcome.accumulator.serialized_size(),
+            )
+        result, failures, duplicates = merge_outcomes(outcomes, query)
+        return ProtocolReport(
+            result=result,
+            protocol=self.label,
+            num_pds=len(nodes),
+            tuples_sent=tuples_sent,
+            fake_tuples_sent=fakes_sent,
+            token_decryptions=decryptions,
+            token_invocations=len(partitions) + 1,
+            comm_bytes=channel.stats.bytes,
+            comm_messages=channel.stats.messages,
+            integrity_failures=failures,
+            duplicates_detected=duplicates,
+            aggregator_retries=retries,
+            ssi_tag_histogram=dict(ssi.observations.group_tag_counts),
+            ssi_bucket_histogram=dict(ssi.observations.bucket_counts),
         )
-    return merge_outcomes(outcomes, query)

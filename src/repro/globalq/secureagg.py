@@ -15,137 +15,28 @@ results of size O(#groups) per partition.
 from __future__ import annotations
 
 import math
-import random
 
-from repro.globalq.parallel import (
-    DEFAULT_SHARD_SIZE,
-    ShardedCollector,
-    WorkerPool,
-)
-from repro.globalq.protocol import (
-    PdsNode,
-    ProtocolReport,
-    TokenFleet,
-    TrustedAggregator,
-    finalize_partials,
-)
-from repro.globalq.queries import AggregateQuery
-from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure, HONEST
-from repro.smc.parties import Channel
+from repro.globalq.messages import EncryptedContribution
+from repro.globalq.protocol import ProtocolFamily, TokenFleet
+from repro.globalq.ssi import SupportingServerInfrastructure
 
 
-class SecureAggregationProtocol:
-    """The non-deterministic-encryption family."""
+class SecureAggregationProtocol(ProtocolFamily):
+    """The non-deterministic-encryption family: blobs only, random partitions."""
 
     name = "secure-aggregation"
 
     def __init__(
-        self,
-        fleet: TokenFleet,
-        partition_size: int | None = None,
-        ssi_behavior: SsiBehavior = HONEST,
-        rng: random.Random | None = None,
-        aggregator_failure_rate: float = 0.0,
-        workers: int | None = None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        collection_seed: int = 0,
-        pool: WorkerPool | None = None,
+        self, fleet: TokenFleet, partition_size: int | None = None, **driver
     ) -> None:
-        if not 0.0 <= aggregator_failure_rate < 1.0:
-            raise ValueError("failure rate must be in [0, 1)")
-        self.fleet = fleet
+        super().__init__(fleet, **driver)
         self.partition_size = partition_size
-        self.ssi_behavior = ssi_behavior
-        self.rng = rng or random.Random(0)
-        #: ``None`` keeps the original node-at-a-time collection loop;
-        #: an integer routes collection through the sharded executor
-        #: (``workers=1`` = serial shards, ``>1`` = process pool). Shard
-        #: geometry and seeds never depend on the worker count, so any two
-        #: worker settings produce bit-identical contributions.
-        self.workers = workers
-        self.shard_size = shard_size
-        self.collection_seed = collection_seed
-        #: A persistent :class:`WorkerPool` routes collection through the
-        #: sharded executor without paying pool spawn cost per query (the
-        #: long-lived service configuration).
-        self.pool = pool
-        #: Probability that an assigned token disconnects before answering.
-        #: Tokens are "low powered, highly disconnected": the SSI simply
-        #: reassigns the (ciphertext) partition to another connected token.
-        self.aggregator_failure_rate = aggregator_failure_rate
 
-    def run(
-        self, nodes: list[PdsNode], query: AggregateQuery
-    ) -> ProtocolReport:
-        channel = Channel()
-        ssi = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
-
-        # Phase 1: collection (blobs only — no tags, no buckets).
-        tuples_sent = 0
-        if self.workers is None and self.pool is None:
-            for node in nodes:
-                contributions = node.contributions(query, self.fleet)
-                tuples_sent += len(contributions)
-                for contribution in contributions:
-                    channel.send(
-                        f"pds-{node.pds_id}", "ssi", contribution.blob
-                    )
-                ssi.collect(contributions)
-        else:
-            collector = ShardedCollector(
-                self.workers or 1, self.shard_size, self.collection_seed,
-                pool=self.pool,
-            )
-            for item in collector.collect(nodes, query, self.fleet):
-                tuples_sent += len(item.contributions)
-                for contribution in item.contributions:
-                    channel.send(
-                        f"pds-{item.pds_id}", "ssi", contribution.blob
-                    )
-                ssi.collect(item.contributions)
-
-        # Phase 2: random partitioning (the best a blind SSI can do).
+    def partition(
+        self, ssi: SupportingServerInfrastructure
+    ) -> list[list[EncryptedContribution]]:
+        # Fixed-size random partitions: the best a blind SSI can do.
         size = self.partition_size or max(
             1, int(math.sqrt(max(1, len(ssi.stored))))
         )
-        partitions = ssi.partition_random(size)
-
-        # Phase 3: one trusted token per partition, then the querier merge.
-        # A token may disconnect mid-partition; the SSI reassigns the same
-        # ciphertext partition to another token (pure retry: aggregation is
-        # deterministic and side-effect free until the partial is returned).
-        outcomes = []
-        decryptions = 0
-        retries = 0
-        for index, partition in enumerate(partitions):
-            while True:
-                for contribution in partition:
-                    channel.send("ssi", f"aggregator-{index}", contribution.blob)
-                if self.rng.random() < self.aggregator_failure_rate:
-                    retries += 1
-                    if retries > 100 * max(1, len(partitions)):
-                        raise RuntimeError("no connected tokens available")
-                    continue
-                aggregator = TrustedAggregator(self.fleet)
-                outcome = aggregator.aggregate(partition)
-                decryptions += len(partition)
-                outcomes.append(outcome)
-                break
-        result, failures, duplicates = finalize_partials(
-            outcomes, query, channel
-        )
-        return ProtocolReport(
-            result=result,
-            protocol=self.name,
-            num_pds=len(nodes),
-            tuples_sent=tuples_sent,
-            fake_tuples_sent=0,
-            token_decryptions=decryptions,
-            token_invocations=len(partitions) + 1,
-            comm_bytes=channel.stats.bytes,
-            comm_messages=channel.stats.messages,
-            integrity_failures=failures,
-            duplicates_detected=duplicates,
-            aggregator_retries=retries,
-            ssi_tag_histogram=dict(ssi.observations.group_tag_counts),
-        )
+        return ssi.partition_random(size)

@@ -95,7 +95,6 @@ class TableGather:
         "_decode_columns",
         "_addr_memo",
         "_data_memo",
-        "_addresses_per_page",
     )
 
     def __init__(self, storage: TableStorage, positions: list[int]) -> None:
@@ -103,7 +102,6 @@ class TableGather:
         self._decode_columns = make_column_decoder(storage.schema, positions)
         self._addr_memo: dict = {}
         self._data_memo: dict = {}
-        self._addresses_per_page = storage.addresses_per_page
 
     def _decode_addr_page(self, page: bytes) -> list[tuple[int, int]]:
         unpack = _ADDRESS.unpack
@@ -115,10 +113,7 @@ class TableGather:
     def fetch(self, rowid: int) -> tuple[dict[int, list], int]:
         """Columns of the data page holding ``rowid`` + the row's slot."""
         addresses = self.storage.addresses
-        position, slot = (
-            rowid // self._addresses_per_page,
-            rowid % self._addresses_per_page,
-        )
+        position, slot = addresses.locate(rowid)
         if position == addresses.page_count:
             # Address record still in the RAM write buffer: no page access,
             # exactly like RecordLog.read on the buffered position.

@@ -21,7 +21,6 @@ from repro.storage import pager
 from repro.storage.log import RecordAddress, RecordLog
 
 _ADDRESS = struct.Struct("<IH")  # page position, slot
-_ADDRESS_SIZE = _ADDRESS.size
 
 
 class TableStorage:
@@ -68,11 +67,10 @@ class TableStorage:
                 f"table {self.schema.name!r}: rowid {rowid} out of range "
                 f"[0, {self._row_count})"
             )
-        # Address entries are fixed-size, so the address log packs the same
-        # number per page and the target page/slot is computable directly.
-        per_page = (self.data.pages.page_size - 2) // (2 + _ADDRESS_SIZE)
+        # The rowid is the entry's ordinal in the address log; the log's
+        # RAM page tallies turn it into a page/slot without any IO.
         raw = self.addresses.read(
-            RecordAddress(position=rowid // per_page, slot=rowid % per_page)
+            RecordAddress(*self.addresses.locate(rowid))
         )
         position, slot = _ADDRESS.unpack(raw)
         return deserialize_row(
@@ -82,11 +80,6 @@ class TableStorage:
     def value(self, rowid: int, column: str) -> object:
         """Fetch one column of one row."""
         return self.read(rowid)[self.schema.column_index(column)]
-
-    @property
-    def addresses_per_page(self) -> int:
-        """Fixed-size address entries packed per address-log page."""
-        return (self.data.pages.page_size - 2) // (2 + _ADDRESS_SIZE)
 
     def read_batch(
         self, rowids, columns: list[str] | None = None

@@ -43,7 +43,6 @@ class AncestorLog:
         #: Ancestor tables in a fixed, sorted order defining record layout.
         self.ancestor_tables = sorted(ancestor_tables)
         self.log = RecordLog(allocator, name=f"{table}:ancestors", ram=ram)
-        self._record_size = _ROWID.size * len(self.ancestor_tables)
         self._record = struct.Struct("<%dI" % len(self.ancestor_tables))
         self._row_count = 0
 
@@ -71,20 +70,12 @@ class AncestorLog:
             raise StorageError(
                 f"table {self.table!r}: no ancestor record for rowid {rowid}"
             )
-        per_page = (self.log.pages.page_size - 2) // (2 + self._record_size)
         with obs.span("tjoin.probe", table=self.table, rowid=rowid):
-            record = self.log.read(
-                RecordAddress(position=rowid // per_page, slot=rowid % per_page)
-            )
+            record = self.log.read(RecordAddress(*self.log.locate(rowid)))
         return {
             name: _ROWID.unpack_from(record, i * _ROWID.size)[0]
             for i, name in enumerate(self.ancestor_tables)
         }
-
-    @property
-    def records_per_page(self) -> int:
-        """Fixed-size ancestor records packed per log page."""
-        return (self.log.pages.page_size - 2) // (2 + self._record_size)
 
     def _decode_page(self, page: bytes) -> list[tuple[int, ...]]:
         """Decode one log page into ancestor-rowid tuples, slot order."""
@@ -105,8 +96,7 @@ class AncestorLog:
             raise StorageError(
                 f"table {self.table!r}: no ancestor record for rowid {rowid}"
             )
-        per_page = self.records_per_page
-        position, slot = rowid // per_page, rowid % per_page
+        position, slot = self.log.locate(rowid)
         with obs.span("tjoin.probe", table=self.table, rowid=rowid):
             if position == self.log.page_count:
                 # Record still in the RAM write buffer: no page access,

@@ -24,7 +24,7 @@ from repro.errors import QueryError
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
 from repro.globalq.noise import NoisePlan, NoiseProtocol
 from repro.globalq.parallel import DEFAULT_SHARD_SIZE, WorkerPool
-from repro.globalq.protocol import ProtocolReport, TokenFleet
+from repro.globalq.protocol import ProtocolFamily, ProtocolReport, TokenFleet
 from repro.globalq.secureagg import SecureAggregationProtocol
 from repro.service.descriptor import (
     FAMILY_EMBEDDED,
@@ -143,6 +143,27 @@ def run_embedded(
     )
 
 
+#: Descriptor family -> (protocol class, its one family-specific option).
+_PROTOCOLS = {
+    FAMILY_SECURE_AGG: (
+        SecureAggregationProtocol,
+        lambda descriptor, domain: descriptor.partition_size,
+    ),
+    FAMILY_NOISE: (
+        NoiseProtocol,
+        lambda descriptor, domain: NoisePlan(
+            descriptor.noise_mode, descriptor.noise_ratio, tuple(domain)
+        ),
+    ),
+    FAMILY_HISTOGRAM: (
+        HistogramProtocol,
+        lambda descriptor, domain: EquiDepthBucketizer(
+            {value: 1.0 for value in domain}, descriptor.num_buckets
+        ),
+    ),
+}
+
+
 def build_protocol(
     descriptor: QueryDescriptor,
     fleet: TokenFleet,
@@ -151,46 +172,17 @@ def build_protocol(
     workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     pool: WorkerPool | None = None,
-):
+) -> ProtocolFamily:
     """The protocol-family driver for one execution of ``descriptor``.
 
     Every random draw — SSI partitioning, fake planning, cipher nonces —
-    descends from ``seed``, and collection always routes through the
-    sharded executor so the answer is identical at any worker count.
+    descends from ``seed``, so the answer is identical at any worker count.
     """
-    rng = random.Random(seed)
-    if descriptor.family == FAMILY_SECURE_AGG:
-        return SecureAggregationProtocol(
-            fleet,
-            partition_size=descriptor.partition_size,
-            rng=rng,
-            workers=workers,
-            shard_size=shard_size,
-            collection_seed=seed,
-            pool=pool,
-        )
-    if descriptor.family == FAMILY_NOISE:
-        return NoiseProtocol(
-            fleet,
-            NoisePlan(
-                mode=descriptor.noise_mode,
-                ratio=descriptor.noise_ratio,
-                domain=tuple(domain),
-            ),
-            rng=rng,
-            workers=workers,
-            shard_size=shard_size,
-            collection_seed=seed,
-            pool=pool,
-        )
-    assert descriptor.family == FAMILY_HISTOGRAM
-    bucketizer = EquiDepthBucketizer(
-        {value: 1.0 for value in domain}, descriptor.num_buckets
-    )
-    return HistogramProtocol(
+    family, option = _PROTOCOLS[descriptor.family]
+    return family(
         fleet,
-        bucketizer,
-        rng=rng,
+        option(descriptor, domain),
+        rng=random.Random(seed),
         workers=workers,
         shard_size=shard_size,
         collection_seed=seed,

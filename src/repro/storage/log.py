@@ -22,6 +22,7 @@ sequential flash scan via :meth:`PageLog.remount` /
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -273,7 +274,10 @@ class RecordLog:
         self._buffer: list[bytes] = []
         self._buffer_size = 2  # packed size of an empty page (count field)
         self._record_count = 0
-        self._records_per_page: list[int] = []
+        #: Running record total at the end of each flushed page — the RAM
+        #: map from an append ordinal to its (page, slot), whatever mix of
+        #: full and partially filled pages the flushes produced.
+        self._page_ends: list[int] = []
         self._ram_handle = (
             ram.allocate(self.pages.page_size, tag=f"log:{name}:writebuf")
             if ram is not None
@@ -291,16 +295,15 @@ class RecordLog:
         """Rebuild a record log from a crash-recovery scan.
 
         Record counts per page come from the recovered payloads already in
-        RAM — re-deriving ``_records_per_page`` costs zero flash reads.
+        RAM — re-deriving ``_page_ends`` costs zero flash reads.
         Anything that was only in the write buffer at the crash is gone,
         which is the contract: a record is durable once its page flushed.
         """
         log = cls(allocator, name, ram, epoch=recovered.epoch)
         log.pages = PageLog.remount(allocator, name, recovered)
-        log._records_per_page = [
-            len(pager.unpack_records(page.payload)) for page in recovered.pages
-        ]
-        log._record_count = sum(log._records_per_page)
+        for page in recovered.pages:
+            log._record_count += len(pager.unpack_records(page.payload))
+            log._page_ends.append(log._record_count)
         return log
 
     # ------------------------------------------------------------------
@@ -334,7 +337,7 @@ class RecordLog:
         if not self._buffer:
             return
         position = self.pages.append_page(pager.pack_records(self._buffer))
-        self._records_per_page.append(len(self._buffer))
+        self._page_ends.append(self._record_count)
         flushed, self._buffer = self._buffer, []
         self._buffer_size = 2
         if self.on_page_flush is not None:
@@ -352,7 +355,7 @@ class RecordLog:
             if address.slot >= len(self._buffer):
                 raise StorageError(f"no record at {address}")
             return self._buffer[address.slot]
-        if address.slot >= self._records_per_page[address.position]:
+        if address.slot >= self.records_on_page(address.position):
             # The per-page record tally rejects a dangling slot before any
             # flash read is spent fetching the page it cannot be on.
             raise StorageError(f"no record at {address}")
@@ -363,11 +366,27 @@ class RecordLog:
 
     def records_on_page(self, position: int) -> int:
         """Records packed into the flushed page at ``position`` (no IO)."""
-        if not 0 <= position < len(self._records_per_page):
+        if not 0 <= position < len(self._page_ends):
             raise StorageError(
                 f"log {self.name!r}: no flushed page at position {position}"
             )
-        return self._records_per_page[position]
+        ends = self._page_ends
+        return ends[position] - (ends[position - 1] if position else 0)
+
+    def locate(self, ordinal: int) -> tuple[int, int]:
+        """``(position, slot)`` of the ``ordinal``-th appended record (no IO).
+
+        Resolved from the per-page record totals held in RAM, so it stays
+        right when a flush closed a page early; a position equal to
+        :attr:`page_count` means the record is still in the write buffer.
+        """
+        if not 0 <= ordinal < self._record_count:
+            raise StorageError(
+                f"log {self.name!r}: no record with ordinal {ordinal}"
+            )
+        ends = self._page_ends
+        position = bisect_right(ends, ordinal)
+        return position, ordinal - (ends[position - 1] if position else 0)
 
     def scan(self) -> Iterator[tuple[RecordAddress, bytes]]:
         """Yield ``(address, record)`` in append order, buffer included."""
@@ -402,7 +421,7 @@ class RecordLog:
         # tallies for pages whose blocks were just erased, and anything
         # consulting them (the read-path bounds check above) would trust
         # counts for data that no longer exists.
-        self._records_per_page.clear()
+        self._page_ends.clear()
         self.pages.drop()
         self._release_ram()
 

@@ -225,14 +225,14 @@ class TestMountScan:
 
 class TestRecordLogDrop:
     def test_drop_resets_per_page_tallies(self):
-        """Regression: drop() used to leave _records_per_page populated."""
+        """Regression: drop() used to leave the per-page tallies populated."""
         flash, allocator = fresh()
         log = RecordLog(allocator, "reuse")
         stale = [log.append(b"x%02d" % i) for i in range(30)]
         log.flush()
         assert log.page_count >= 2
         log.drop()
-        assert log._records_per_page == []
+        assert log._page_ends == []
         with pytest.raises(StorageError):
             log.records_on_page(0)
         with pytest.raises(StorageError):

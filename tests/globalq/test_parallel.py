@@ -245,13 +245,6 @@ class TestFullReportEquality:
         assert serial.comm_bytes == pooled.comm_bytes
         assert serial.ssi_tag_histogram == pooled.ssi_tag_histogram
 
-    def test_legacy_path_unchanged_by_default(self):
-        # workers=None must keep the original node-at-a-time rng pattern.
-        legacy = SecureAggregationProtocol(
-            TokenFleet(0), rng=random.Random(1)
-        ).run(NODES, QUERY)
-        assert legacy.result == TRUTH
-
 
 class TestEncryptedSumShards:
     PUB, PRIV = generate_keypair(bits=256, rng=random.Random(321))

@@ -226,6 +226,37 @@ class TestDisconnectedAggregators:
         assert report.aggregator_retries > 0
         assert not report.cheating_detected  # disconnections are not attacks
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda fleet, **driver: SecureAggregationProtocol(
+                fleet, partition_size=12, **driver
+            ),
+            lambda fleet, **driver: NoiseProtocol(
+                fleet, NoisePlan(WHITE_NOISE, 1.0, tuple(CITIES)), **driver
+            ),
+            lambda fleet, **driver: HistogramProtocol(
+                fleet, EquiDepthBucketizer(city_prior(), 3), **driver
+            ),
+        ],
+        ids=["secure-aggregation", "noise-based", "histogram-based"],
+    )
+    def test_every_family_retries_through_the_shared_driver(
+        self, setup, family
+    ):
+        population, nodes, fleet = setup
+        query = QUERIES[0]
+        stable = family(fleet, rng=random.Random(7)).run(nodes, query)
+        flaky = family(
+            fleet, rng=random.Random(7), aggregator_failure_rate=0.5
+        ).run(nodes, query)
+        assert stable.aggregator_retries == 0 < flaky.aggregator_retries
+        assert flaky.result == stable.result
+        assert flaky.result == plaintext_answer(population, query)
+        # Each retry re-ships its ciphertext partition, nothing else.
+        assert flaky.comm_bytes > stable.comm_bytes
+        assert flaky.token_decryptions == stable.token_decryptions
+
     def test_no_failures_no_retries(self, setup):
         _, nodes, fleet = setup
         report = SecureAggregationProtocol(

@@ -102,6 +102,46 @@ class TestInsertAndIntegrity:
             assert joined["PARTSUPP"] == line[2]
             assert joined["SUPPLIER"] == ps[1]
 
+    @pytest.mark.parametrize("batch_size", [0, None], ids=["tuple", "batch"])
+    def test_rowids_survive_partial_page_flushes(self, batch_size):
+        """Regression: ``rowid // per_page`` assumed every address-log and
+        ancestor-log page was full, so a row inserted after a flush that
+        closed a page early was unreadable (or read as a different row)."""
+        db = EmbeddedDatabase(
+            make_token(), tpcd.tpcd_schema(), tpcd.ROOT_TABLE,
+            batch_size=batch_size,
+        )
+        data = tpcd.generate(num_lineitems=55, seed=9)
+        early, late = data.lineitems[:50], data.lineitems[50:]
+        tpcd.load(db, tpcd.TpcdData(
+            data.suppliers, data.customers, data.orders, data.partsupps, early
+        ))
+        for row in late:
+            db.insert("LINEITEM", row)
+        db.flush()
+        lineitems = db.storages["LINEITEM"]
+        flash = db.token.flash.stats
+        before = flash.page_reads
+        assert lineitems.read(50) == late[0]
+        assert flash.page_reads == before + 2  # address page + data page
+        assert lineitems.read_batch([49, 50, 54], ["LINkey"]) == {
+            "LINkey": [49, 50, 54]
+        }
+        for rowid in (49, 50, 54):
+            joined = db.tjoin.joined_rowids(rowid)
+            assert joined["ORDER"] == data.lineitems[rowid][1]
+        scan = Query.build(
+            filters=[("LINEITEM", "Quantity", late[0][3])],
+            projection=[("LINEITEM", "LINkey"), ("ORDER", "ORDkey")],
+        )
+        rows, stats = db.query(scan)
+        assert stats.explain.root_scan
+        assert sorted(rows) == sorted(
+            (line[0], line[1])
+            for line in data.lineitems
+            if line[3] == late[0][3]
+        )
+
     def test_lookup_by_pk_and_scan(self, loaded_db):
         db, data = loaded_db
         assert db.lookup("CUSTOMER", "CUSkey", 3) == [3]

@@ -8,6 +8,8 @@ the snapshot/seed the service recorded for it.
 
 import asyncio
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -99,6 +101,32 @@ class TestAcceptance:
 
 
 class TestSchedulerMechanics:
+    def test_threaded_queries_leave_fleet_key_state_untouched(self):
+        """Regression: every ``TrustedAggregator`` drew a nonce seed from
+        the one ``TokenFleet`` rng all executor threads share, although it
+        only ever decrypts."""
+        population = slim_population(80)
+        nodes = population.snapshot().nodes
+        fleet = population.fleet
+        before = fleet._rng.getstate()
+        descriptors = standard_mix().descriptors() * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                futures = [
+                    executor.submit(
+                        run_query, descriptor, nodes, fleet, seed,
+                        ServiceConfig().domain,
+                    )
+                    for seed, descriptor in enumerate(descriptors)
+                ]
+                reports = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports) == len(descriptors)
+        assert fleet._rng.getstate() == before
+
     def test_sheds_when_queues_full(self):
         async def scenario():
             population = slim_population(120)

@@ -1,11 +1,13 @@
 """The async driver's correctness anchor: same answers as the synchronous
 [TNP14] drivers, on the same seeds, over a lossy churning network.
 
-Exactly-once collection (retransmit + SSI dedup) plus deterministic
-per-partition aggregation plus commutative merging means the asynchronous
-answer must *equal* the synchronous one — message loss, node churn and
-token walkaways included. COUNT answers are compared exactly (integer-valued
-floats survive any summation order); SUM/AVG use approx.
+Both drivers run the same family object through the same sharded collector,
+so the bag the SSI collects is bit-identical; exactly-once collection
+(retransmit + SSI dedup) plus deterministic per-partition aggregation plus
+commutative merging then means the asynchronous answer must *equal* the
+synchronous one — message loss, node churn and token walkaways included.
+COUNT answers are compared exactly (integer-valued floats survive any
+summation order); SUM/AVG use approx.
 """
 
 import random
@@ -13,19 +15,13 @@ import random
 import pytest
 
 from repro.errors import ProtocolError
-from repro.globalq.async_protocol import (
-    FAMILIES,
-    HISTOGRAM_BASED,
-    NOISE_BASED,
-    SECURE_AGGREGATION,
-    AsyncGlobalQuery,
-)
+from repro.globalq.async_protocol import AsyncGlobalQuery
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
 from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
 from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.globalq.queries import AggregateQuery, plaintext_answer
 from repro.globalq.secureagg import SecureAggregationProtocol
-from repro.globalq.ssi import SsiBehavior
+from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure
 from repro.net import ChurnModel, LinkProfile
 from repro.workloads.people import CITIES, generate_population
 
@@ -46,40 +42,64 @@ def prior():
     return {city: 1.0 / (rank + 1) for rank, city in enumerate(CITIES)}
 
 
-def async_driver(family: str, **overrides) -> AsyncGlobalQuery:
-    kwargs = dict(
-        noise=NOISE if family == NOISE_BASED else None,
-        bucketizer=(
-            EquiDepthBucketizer(prior(), 3)
-            if family == HISTOGRAM_BASED
-            else None
-        ),
-        rng=random.Random(1),
-        link=LOSSY,
-        churn=CHURNY,
-        token_failure_rate=0.1,
-    )
-    kwargs.update(overrides)
-    return AsyncGlobalQuery(family, TokenFleet(3), **kwargs)
+SECURE_AGGREGATION = SecureAggregationProtocol.name
+NOISE_BASED = NoiseProtocol.name
+HISTOGRAM_BASED = HistogramProtocol.name
+FAMILIES = (SECURE_AGGREGATION, NOISE_BASED, HISTOGRAM_BASED)
 
 
-def sync_protocol(family: str):
+def sync_protocol(family: str, **options):
+    """The family object both drivers run (fresh rng per call)."""
+    options.setdefault("rng", random.Random(1))
     if family == NOISE_BASED:
-        return NoiseProtocol(TokenFleet(3), noise=NOISE, rng=random.Random(1))
+        return NoiseProtocol(TokenFleet(3), noise=NOISE, **options)
     if family == HISTOGRAM_BASED:
         return HistogramProtocol(
-            TokenFleet(3), EquiDepthBucketizer(prior(), 3),
-            rng=random.Random(1),
+            TokenFleet(3), EquiDepthBucketizer(prior(), 3), **options
         )
-    return SecureAggregationProtocol(TokenFleet(3), rng=random.Random(1))
+    return SecureAggregationProtocol(TokenFleet(3), **options)
+
+
+def async_driver(family, **overrides) -> AsyncGlobalQuery:
+    """``family``: a name (default options) or a ready family object."""
+    if isinstance(family, str):
+        family = sync_protocol(family)
+    kwargs = dict(link=LOSSY, churn=CHURNY, token_failure_rate=0.1)
+    kwargs.update(overrides)
+    return AsyncGlobalQuery(family, **kwargs)
+
+
+@pytest.fixture
+def ssi_bags(monkeypatch):
+    """Every SSI core built during the test, for comparing collected bags."""
+    cores = []
+    original = SupportingServerInfrastructure.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        cores.append(self)
+
+    monkeypatch.setattr(
+        SupportingServerInfrastructure, "__init__", recording_init
+    )
+    return lambda: [
+        sorted(
+            (c.blob, c.group_tag or b"", c.bucket_id or 0)
+            for c in core.stored
+        )
+        for core in cores
+    ]
 
 
 class TestAsyncEqualsSync:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_count_exact_under_loss_and_churn(self, family):
+    def test_count_exact_under_loss_and_churn(self, family, ssi_bags):
         population, nodes = make_nodes(120)
         sync_report = sync_protocol(family).run(nodes, COUNT_QUERY)
         report = async_driver(family).run_sync(nodes, COUNT_QUERY)
+        sync_bag, async_bag = ssi_bags()
+        assert async_bag == sync_bag and len(sync_bag) == report.tuples_sent
+        assert report.fake_tuples_sent == sync_report.fake_tuples_sent
         assert report.result == sync_report.result
         assert report.result == plaintext_answer(population, COUNT_QUERY)
         assert report.protocol.startswith(f"async-{family}")
@@ -144,7 +164,7 @@ class TestNetworkEffects:
         ).run_sync(nodes, COUNT_QUERY)
         lossy = async_driver(
             NOISE_BASED, link=LinkProfile(loss=0.2), churn=None,
-            token_failure_rate=0.0, rng=random.Random(1),
+            token_failure_rate=0.0,
         ).run_sync(nodes, COUNT_QUERY)
         assert lossy.result == clean.result
         assert (
@@ -154,11 +174,10 @@ class TestNetworkEffects:
     def test_token_walkaways_force_reassignment(self):
         _, nodes = make_nodes(80)
         report = async_driver(
-            SECURE_AGGREGATION,
+            sync_protocol(SECURE_AGGREGATION, partition_size=8),
             link=LinkProfile(),
             churn=None,
             token_failure_rate=0.6,
-            partition_size=8,
             assign_timeout=0.05,
         ).run_sync(nodes, COUNT_QUERY)
         assert report.aggregator_retries > 0
@@ -190,8 +209,9 @@ class TestWeaklyMaliciousSsi:
         and every forgery fails authentication inside a token."""
         _, nodes = make_nodes(60)
         report = async_driver(
-            SECURE_AGGREGATION,
-            ssi_behavior=SsiBehavior(forge_count=5),
+            sync_protocol(
+                SECURE_AGGREGATION, ssi_behavior=SsiBehavior(forge_count=5)
+            ),
             token_failure_rate=0.0,
         ).run_sync(nodes, COUNT_QUERY)
         assert report.integrity_failures == 5
@@ -199,8 +219,9 @@ class TestWeaklyMaliciousSsi:
     def test_drops_shrink_the_answer_but_never_hang(self):
         population, nodes = make_nodes(60)
         report = async_driver(
-            NOISE_BASED,
-            ssi_behavior=SsiBehavior(drop_fraction=0.3),
+            sync_protocol(
+                NOISE_BASED, ssi_behavior=SsiBehavior(drop_fraction=0.3)
+            ),
             token_failure_rate=0.0,
         ).run_sync(nodes, COUNT_QUERY)
         truth = plaintext_answer(population, COUNT_QUERY)
@@ -209,8 +230,10 @@ class TestWeaklyMaliciousSsi:
     def test_duplicates_detected(self):
         _, nodes = make_nodes(60)
         report = async_driver(
-            SECURE_AGGREGATION,
-            ssi_behavior=SsiBehavior(duplicate_fraction=0.5),
+            sync_protocol(
+                SECURE_AGGREGATION,
+                ssi_behavior=SsiBehavior(duplicate_fraction=0.5),
+            ),
             token_failure_rate=0.0,
         ).run_sync(nodes, COUNT_QUERY)
         assert report.duplicates_detected > 0
@@ -218,17 +241,18 @@ class TestWeaklyMaliciousSsi:
 
 class TestDriverValidation:
     def test_unknown_family(self):
+        # A family is an object now, not a name to look rules up by.
         with pytest.raises(ProtocolError, match="unknown protocol family"):
-            AsyncGlobalQuery("quantum", TokenFleet(3))
+            AsyncGlobalQuery("noise-based")
 
     def test_histogram_needs_bucketizer(self):
-        with pytest.raises(ProtocolError, match="bucketizer"):
-            AsyncGlobalQuery(HISTOGRAM_BASED, TokenFleet(3))
+        with pytest.raises(TypeError, match="bucketizer"):
+            HistogramProtocol(TokenFleet(3))
 
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             AsyncGlobalQuery(
-                NOISE_BASED, TokenFleet(3), token_failure_rate=1.0
+                sync_protocol(NOISE_BASED), token_failure_rate=1.0
             )
         with pytest.raises(ValueError):
-            AsyncGlobalQuery(NOISE_BASED, TokenFleet(3), num_tokens=0)
+            AsyncGlobalQuery(sync_protocol(NOISE_BASED), num_tokens=0)
