@@ -10,8 +10,10 @@ A PDS contribution travels as an :class:`EncryptedContribution`:
   leaks only the coarse bucket).
 
 The payload inside ``blob`` is ``pds_id | sequence | flags | group | value``,
-packed by :func:`pack_payload`; the ``FAKE`` flag marks noise tuples that
-trusted aggregators silently drop after decryption.
+packed by :func:`pack_fields`; the ``FAKE`` flag marks noise tuples that
+trusted aggregators silently drop after decryption. The collection and
+aggregation loops pack and unpack bare fields; :class:`Payload` is the same
+five fields as a record, for callers that want one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ _HEADER = struct.Struct("<IIBd")  # pds_id, sequence, flags, value
 FLAG_FAKE = 0x01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncryptedContribution:
     """One contribution as the SSI sees it."""
 
@@ -54,16 +56,17 @@ class Payload:
     fake: bool = False
 
 
-def pack_payload(payload: Payload) -> bytes:
-    group_bytes = payload.group.encode("utf-8")
-    flags = FLAG_FAKE if payload.fake else 0
+def pack_fields(
+    pds_id: int, sequence: int, group: str, value: float, fake: bool = False
+) -> bytes:
     return (
-        _HEADER.pack(payload.pds_id, payload.sequence, flags, payload.value)
-        + group_bytes
+        _HEADER.pack(pds_id, sequence, FLAG_FAKE if fake else 0, value)
+        + group.encode("utf-8")
     )
 
 
-def unpack_payload(data: bytes) -> Payload:
+def unpack_fields(data: bytes) -> tuple[int, int, str, float, bool]:
+    """``(pds_id, sequence, group, value, fake)`` — :class:`Payload` order."""
     if len(data) < _HEADER.size:
         raise ProtocolError("contribution payload too short")
     pds_id, sequence, flags, value = _HEADER.unpack_from(data, 0)
@@ -71,10 +74,15 @@ def unpack_payload(data: bytes) -> Payload:
         group = data[_HEADER.size :].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError("contribution group is not valid UTF-8") from exc
-    return Payload(
-        pds_id=pds_id,
-        sequence=sequence,
-        group=group,
-        value=value,
-        fake=bool(flags & FLAG_FAKE),
+    return pds_id, sequence, group, value, bool(flags & FLAG_FAKE)
+
+
+def pack_payload(payload: Payload) -> bytes:
+    return pack_fields(
+        payload.pds_id, payload.sequence, payload.group, payload.value,
+        payload.fake,
     )
+
+
+def unpack_payload(data: bytes) -> Payload:
+    return Payload(*unpack_fields(data))

@@ -161,7 +161,7 @@ class CollectTask:
     trace: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeContributions:
     """One PDS's collection output, tagged for accounting in the driver."""
 
@@ -175,7 +175,9 @@ def collect_shard(task: CollectTask):
 
     Per node, in order: (1) plan fakes from the shard stream, (2) draw the
     cipher-nonce seed, (3) encrypt. The fixed draw order is the whole
-    determinism contract.
+    determinism contract. The fleet is keyed once per shard; a node costs
+    its nonce ``Random`` plus one encryption per tuple, and a group's
+    deterministic tag is computed once per shard.
 
     When the task carries a sampled trace context and runs in a worker
     process, the shard's execution span is recorded locally and shipped
@@ -184,7 +186,7 @@ def collect_shard(task: CollectTask):
     """
     # Imported here: the family modules import this module at top level.
     from repro.globalq.noise import plan_fakes
-    from repro.globalq.protocol import TokenFleet
+    from repro.globalq.protocol import TokenFleet, encrypt_contributions
 
     with telemetry.remote_recording(
         task.trace, f"worker-{os.getpid()}"
@@ -195,26 +197,26 @@ def collect_shard(task: CollectTask):
             nodes=len(task.nodes),
         ):
             fleet = TokenFleet(task.fleet_seed)
+            tag_of = fleet.group_tagger() if task.with_group_tag else None
             rng = random.Random(task.shard_seed)
             out = []
             for node in task.nodes:
-                fakes = None
-                if task.noise is not None:
-                    real = local_contributions(node.records, task.query)
-                    fakes = plan_fakes(real, task.noise, rng)
-                cipher_seed = rng.getrandbits(64)
-                contributions = node.contributions(
-                    task.query,
-                    fleet,
-                    with_group_tag=task.with_group_tag,
-                    bucketizer=task.bucketizer,
-                    fakes=fakes,
-                    cipher_seed=cipher_seed,
+                real = local_contributions(node.records, task.query)
+                fakes = (
+                    plan_fakes(real, task.noise, rng)
+                    if task.noise is not None
+                    else ()
+                )
+                contributions = encrypt_contributions(
+                    node.pds_id,
+                    real,
+                    fakes,
+                    fleet.payload_cipher(rng.getrandbits(64)),
+                    tag_of,
+                    task.bucketizer,
                 )
                 out.append(
-                    NodeContributions(
-                        node.pds_id, contributions, len(fakes or ())
-                    )
+                    NodeContributions(node.pds_id, contributions, len(fakes))
                 )
     if recording is not None:
         return recording.wrap(out)

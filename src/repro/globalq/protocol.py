@@ -27,6 +27,7 @@ the PDS node, the trusted aggregator and the report type.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -34,9 +35,8 @@ from repro.crypto.symmetric import DeterministicCipher, NondeterministicCipher
 from repro.errors import IntegrityError
 from repro.globalq.messages import (
     EncryptedContribution,
-    Payload,
-    pack_payload,
-    unpack_payload,
+    pack_fields,
+    unpack_fields,
 )
 from repro.globalq.parallel import (
     DEFAULT_SHARD_SIZE,
@@ -63,9 +63,9 @@ class TokenFleet:
         #: Key-derivation seed: a fleet rebuilt from the same seed (e.g.
         #: inside a collection worker process) holds identical keys.
         self.seed = seed
-        self._payload_key = master + b"payload"
-        self._group_key = master + b"group"
-        self.deterministic = DeterministicCipher(self._group_key)
+        self.deterministic = DeterministicCipher(master + b"group")
+        #: Keyed once: every :meth:`payload_cipher` shares these HMAC states.
+        self._payload = NondeterministicCipher(master + b"payload")
         self._rng = rng
 
     def payload_cipher(self, seed: int | None = None) -> NondeterministicCipher:
@@ -74,13 +74,46 @@ class TokenFleet:
         ``seed`` pins the nonce stream (sharded collection derives one seed
         per PDS so results do not depend on worker scheduling, and
         decrypt-only holders pass a constant); when absent the fleet's own
-        rng supplies it.
+        rng supplies it. Only the nonce source is per call — the key
+        schedule was paid in ``__init__``.
         """
         if seed is None:
             seed = self._rng.getrandbits(64)
-        return NondeterministicCipher(
-            self._payload_key, rng=random.Random(seed)
-        )
+        return self._payload.with_nonces(random.Random(seed))
+
+    def group_tagger(self):
+        """A memoising ``group -> deterministic tag`` function.
+
+        A query has few distinct groups and a shard many contributions, so
+        each caller (one collection shard) computes every SIV once.
+        """
+        encrypt = self.deterministic.encrypt
+        return functools.cache(lambda group: encrypt(group.encode("utf-8")))
+
+
+def encrypt_contributions(
+    pds_id: int,
+    real: list[tuple[str, float]],
+    fakes: list[tuple[str, float]],
+    cipher: NondeterministicCipher,
+    tag_of=None,
+    bucketizer=None,
+) -> list[EncryptedContribution]:
+    """One PDS's ``real`` tuples then its ``fakes``, in sequence order."""
+    encrypt = cipher.encrypt
+    out = []
+    sequence = 0
+    for batch, fake in ((real, False), (fakes, True)):
+        for group, value in batch:
+            out.append(
+                EncryptedContribution(
+                    encrypt(pack_fields(pds_id, sequence, group, value, fake)),
+                    tag_of(group) if tag_of is not None else None,
+                    bucketizer(group) if bucketizer is not None else None,
+                )
+            )
+            sequence += 1
+    return out
 
 
 @dataclass
@@ -100,47 +133,13 @@ class PdsNode:
         cipher_seed: int | None = None,
     ) -> list[EncryptedContribution]:
         """Encrypt this PDS's (filtered) tuples, plus any planned fakes."""
-        cipher = fleet.payload_cipher(cipher_seed)
-        out: list[EncryptedContribution] = []
-        sequence = 0
-        real = local_contributions(self.records, query)
-        for group, value in real:
-            out.append(
-                self._encrypt(
-                    cipher, fleet, group, value, sequence, False,
-                    with_group_tag, bucketizer,
-                )
-            )
-            sequence += 1
-        for group, value in fakes or []:
-            out.append(
-                self._encrypt(
-                    cipher, fleet, group, value, sequence, True,
-                    with_group_tag, bucketizer,
-                )
-            )
-            sequence += 1
-        return out
-
-    def _encrypt(
-        self, cipher, fleet, group, value, sequence, fake,
-        with_group_tag, bucketizer,
-    ) -> EncryptedContribution:
-        payload = Payload(
-            pds_id=self.pds_id,
-            sequence=sequence,
-            group=group,
-            value=value,
-            fake=fake,
-        )
-        return EncryptedContribution(
-            blob=cipher.encrypt(pack_payload(payload)),
-            group_tag=(
-                fleet.deterministic.encrypt(group.encode("utf-8"))
-                if with_group_tag
-                else None
-            ),
-            bucket_id=bucketizer(group) if bucketizer is not None else None,
+        return encrypt_contributions(
+            self.pds_id,
+            local_contributions(self.records, query),
+            fakes or (),
+            fleet.payload_cipher(cipher_seed),
+            fleet.group_tagger() if with_group_tag else None,
+            bucketizer,
         )
 
 
@@ -170,21 +169,24 @@ class TrustedAggregator:
         accumulator = Accumulator()
         real = fakes = failures = 0
         seen: set[tuple[int, int]] = set()
+        decrypt = self._cipher.decrypt
         for contribution in partition:
             try:
-                payload = unpack_payload(self._cipher.decrypt(contribution.blob))
+                pds_id, sequence, group, value, fake = unpack_fields(
+                    decrypt(contribution.blob)
+                )
             except IntegrityError:
                 failures += 1  # forged or corrupted: detected, discarded
                 continue
-            identity = (payload.pds_id, payload.sequence)
+            identity = (pds_id, sequence)
             if identity in seen:
                 continue  # replay inside this partition: skip silently
             seen.add(identity)
-            if payload.fake:
+            if fake:
                 fakes += 1
                 continue
             real += 1
-            accumulator.add(payload.group, payload.value)
+            accumulator.add(group, value)
         return AggregationOutcome(
             accumulator=accumulator,
             real_tuples=real,
@@ -335,9 +337,10 @@ class ProtocolFamily:
         for item in self.collect(nodes, query):
             tuples_sent += len(item.contributions)
             fakes_sent += item.fake_count
-            sender = f"pds-{item.pds_id}"
-            for contribution in item.contributions:
-                channel.send(sender, "ssi", self.wire_form(contribution))
+            channel.send_batch(
+                f"pds-{item.pds_id}", "ssi",
+                [self.wire_form(c) for c in item.contributions],
+            )
             ssi.collect(item.contributions)
 
         # Phase 2: partitioning — the family *is* this rule.
@@ -351,9 +354,9 @@ class ProtocolFamily:
         decryptions = 0
         retries = 0
         for index, partition in enumerate(partitions):
+            blobs = [contribution.blob for contribution in partition]
             while True:
-                for contribution in partition:
-                    channel.send("ssi", f"aggregator-{index}", contribution.blob)
+                channel.send_batch("ssi", f"aggregator-{index}", blobs)
                 if self.rng.random() < self.aggregator_failure_rate:
                     retries += 1
                     if retries > 100 * max(1, len(partitions)):

@@ -16,6 +16,8 @@ Two Part I requirements in one module:
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 
 from repro.errors import AccessDenied, IntegrityError, ProtocolError
@@ -29,17 +31,14 @@ class CertificationAuthority:
     """Issues role credentials all tokens can verify (shared MAC key)."""
 
     def __init__(self, fleet: TokenFleet, authority_seed: bytes = b"ca") -> None:
-        self._cipher = fleet.payload_cipher()
-        # A deterministic MAC keyed off the fleet: verify == re-issue+compare.
-        import hashlib
-        import hmac as hmac_module
-
+        # A deterministic MAC every token can recompute: verify ==
+        # re-issue + compare. Constructing an authority must not draw from
+        # ``fleet``: its rng is shared by every holder.
         self._key = hashlib.sha256(authority_seed + b"|credentials").digest()
-        self._hmac = hmac_module
 
     def issue(self, subject: Subject, expires_at: int) -> "Credential":
         body = json.dumps([subject.name, subject.role, expires_at]).encode()
-        proof = self._hmac.new(self._key, body, "sha256").digest()
+        proof = hmac.new(self._key, body, "sha256").digest()
         return Credential(
             subject=subject, expires_at=expires_at, proof=proof
         )
@@ -52,8 +51,8 @@ class CertificationAuthority:
                 credential.expires_at,
             ]
         ).encode()
-        expected = self._hmac.new(self._key, body, "sha256").digest()
-        if not self._hmac.compare_digest(expected, credential.proof):
+        expected = hmac.new(self._key, body, "sha256").digest()
+        if not hmac.compare_digest(expected, credential.proof):
             return False
         return now <= credential.expires_at
 

@@ -56,8 +56,10 @@ class CommStats:
     bytes: int = 0
     by_edge: dict = field(default_factory=dict)
 
-    def record(self, sender: str, receiver: str, size: int) -> None:
-        self.messages += 1
+    def record(
+        self, sender: str, receiver: str, size: int, messages: int = 1
+    ) -> None:
+        self.messages += messages
         self.bytes += size
         edge = (sender, receiver)
         self.by_edge[edge] = self.by_edge.get(edge, 0) + size
@@ -81,6 +83,23 @@ class Channel:
         if self.keep_transcript:
             self.transcript.append((sender, receiver, payload))
         return payload
+
+    def send_batch(self, sender: str, receiver: str, payloads: list) -> None:
+        """Account ``payloads`` as that many messages on one edge at once.
+
+        Totals equal one :meth:`send` per payload; an empty batch records
+        nothing, as zero sends would.
+        """
+        if not payloads:
+            return
+        self.stats.record(
+            sender, receiver,
+            sum(map(payload_bytes, payloads)), len(payloads),
+        )
+        if self.keep_transcript:
+            self.transcript.extend(
+                (sender, receiver, payload) for payload in payloads
+            )
 
 
 @dataclass

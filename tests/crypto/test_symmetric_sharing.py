@@ -1,16 +1,126 @@
 """Tests for symmetric ciphers and additive secret sharing."""
 
+import hashlib
+import hmac
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.sharing import reconstruct, reconstruct_signed, split
-from repro.crypto.symmetric import DeterministicCipher, NondeterministicCipher
+from repro.crypto.symmetric import (
+    DeterministicCipher,
+    KeyedPrf,
+    NondeterministicCipher,
+)
 from repro.errors import IntegrityError
 
 KEY = b"0123456789abcdef"
+
+#: Ciphertexts recorded at c5fb66a, when both ciphers still called
+#: ``hmac.new`` per message: ``DeterministicCipher(key)`` and
+#: ``NondeterministicCipher(key, rng=random.Random(KAT_SEED))`` encrypting
+#: ``kat_plaintext(n)`` for n = 0, 18, 32, 33, 100 in that order (33 and 100
+#: take the multi-block keystream branch).
+KAT = json.loads(
+    (Path(__file__).parent / "golden" / "symmetric_kat.json").read_text()
+)
+KAT_KEYS = {"fleet-length": bytes(range(7, 46)), "over-block": bytes(range(100))}
+KAT_SEED = 2014
+KAT_LENGTHS = (0, 18, 32, 33, 100)
+
+
+def kat_plaintext(length: int) -> bytes:
+    return bytes((i * 7 + 3) % 256 for i in range(length))
+
+
+class TestKeyedPrf:
+    """The precomputed-state PRF against stdlib ``hmac``, its reference."""
+
+    @given(st.binary(min_size=16, max_size=200), st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stdlib_hmac(self, key, message):
+        assert KeyedPrf(key).digest(message) == hmac.new(
+            key, message, hashlib.sha256
+        ).digest()
+
+    @pytest.mark.parametrize("key_bytes", [16, 63, 64, 65, 200])
+    def test_block_size_boundary(self, key_bytes):
+        key = bytes(range(key_bytes))
+        for message in (b"", b"m", b"m" * 64, b"m" * 200):
+            assert KeyedPrf(key).digest(message) == hmac.new(
+                key, message, hashlib.sha256
+            ).digest()
+
+    def test_state_survives_reuse(self):
+        # Digests never update the keyed states: any order, same answers.
+        prf = KeyedPrf(KEY)
+        first = [prf.digest(m) for m in (b"a", b"b" * 70, b"a")]
+        assert first[0] == first[2] == hmac.new(KEY, b"a", hashlib.sha256).digest()
+        assert prf.digest(b"b" * 70) == first[1]
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 65, 100])
+    def test_keystream_is_counter_mode(self, length):
+        nonce = bytes(range(16))
+        blocks = b"".join(
+            hmac.new(KEY, nonce + i.to_bytes(4, "little"), hashlib.sha256).digest()
+            for i in range((length + 31) // 32)
+        )
+        assert KeyedPrf(KEY).keystream(nonce, length) == blocks[:length]
+
+
+class TestKnownAnswers:
+    """Both ciphers still emit the bytes the per-message-hmac code did."""
+
+    @pytest.mark.parametrize("name", sorted(KAT_KEYS))
+    def test_deterministic(self, name):
+        cipher = DeterministicCipher(KAT_KEYS[name])
+        for length in KAT_LENGTHS:
+            expected = bytes.fromhex(KAT[name][str(length)]["deterministic"])
+            assert cipher.encrypt(kat_plaintext(length)) == expected
+            assert cipher.decrypt(expected) == kat_plaintext(length)
+
+    @pytest.mark.parametrize("name", sorted(KAT_KEYS))
+    def test_nondeterministic(self, name):
+        cipher = NondeterministicCipher(
+            KAT_KEYS[name], rng=random.Random(KAT_SEED)
+        )
+        for length in KAT_LENGTHS:
+            expected = bytes.fromhex(KAT[name][str(length)]["nondeterministic"])
+            assert cipher.encrypt(kat_plaintext(length)) == expected
+            assert cipher.decrypt(expected) == kat_plaintext(length)
+
+    @pytest.mark.parametrize("name", sorted(KAT_KEYS))
+    def test_with_nonces_shares_the_key_not_the_stream(self, name):
+        # The fleet's use: one keyed cipher, a nonce source bound per PDS.
+        keyed = NondeterministicCipher(KAT_KEYS[name])
+        bound = keyed.with_nonces(random.Random(KAT_SEED))
+        for length in KAT_LENGTHS:
+            expected = bytes.fromhex(KAT[name][str(length)]["nondeterministic"])
+            assert bound.encrypt(kat_plaintext(length)) == expected
+            assert keyed.decrypt(expected) == kat_plaintext(length)
+
+    @pytest.mark.parametrize("kind", ["deterministic", "nondeterministic"])
+    @pytest.mark.parametrize("length", KAT_LENGTHS)
+    def test_every_tampered_byte_and_truncation_rejected(self, kind, length):
+        key = KAT_KEYS["fleet-length"]
+        cipher = (
+            DeterministicCipher(key)
+            if kind == "deterministic"
+            else NondeterministicCipher(key, rng=random.Random(0))
+        )
+        good = bytes.fromhex(KAT["fleet-length"][str(length)][kind])
+        for position in range(len(good)):
+            forged = bytearray(good)
+            forged[position] ^= 0x01
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(bytes(forged))
+        for keep in range(len(good)):
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(good[:keep])
 
 
 class TestDeterministicCipher:

@@ -115,6 +115,15 @@ class TestSecureSharing:
         assert len(documents) == 2
         assert {d.kind for d in documents} == {"medical"}
 
+    def test_authority_leaves_fleet_nonce_stream_alone(self):
+        """Regression: the authority built (and dropped) a payload cipher,
+        advancing the rng every fleet holder shares."""
+        fleet = TokenFleet(seed=7)
+        CertificationAuthority(fleet)
+        assert fleet.payload_cipher().encrypt(b"share") == TokenFleet(
+            seed=7
+        ).payload_cipher().encrypt(b"share")
+
     def test_read_budget_enforced(self, pds):
         fleet = TokenFleet(seed=2)
         authority = CertificationAuthority(fleet)

@@ -7,6 +7,7 @@ the snapshot/seed the service recorded for it.
 """
 
 import asyncio
+import hashlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,7 @@ from repro.service import (
     standard_mix,
 )
 from repro.service.descriptor import FAMILY_SECURE_AGG
+from repro.service.reference import build_protocol
 
 
 def run(coro):
@@ -104,27 +106,49 @@ class TestSchedulerMechanics:
     def test_threaded_queries_leave_fleet_key_state_untouched(self):
         """Regression: every ``TrustedAggregator`` drew a nonce seed from
         the one ``TokenFleet`` rng all executor threads share, although it
-        only ever decrypts."""
+        only ever decrypts.
+
+        The threads also share the fleet's keyed cipher states, so each
+        concurrent query must emit the ciphertext stream and the report of
+        its own serial run."""
         population = slim_population(80)
         nodes = population.snapshot().nodes
         fleet = population.fleet
+        domain = ServiceConfig().domain
+
+        def served(descriptor, seed):
+            """(digest of the collected stream, the served report)."""
+            stream = hashlib.sha256()
+            for item in build_protocol(descriptor, fleet, seed, domain).collect(
+                list(nodes), descriptor.query
+            ):
+                for contribution in item.contributions:
+                    stream.update(contribution.blob)
+                    stream.update(contribution.group_tag or b"-")
+            return stream.hexdigest(), run_query(
+                descriptor, nodes, fleet, seed, domain
+            )
+
         before = fleet._rng.getstate()
         descriptors = standard_mix().descriptors() * 4
+        serial = [
+            served(descriptor, seed)
+            for seed, descriptor in enumerate(descriptors)
+        ]
+        assert len({digest for digest, _ in serial}) == len(descriptors)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=8) as executor:
                 futures = [
-                    executor.submit(
-                        run_query, descriptor, nodes, fleet, seed,
-                        ServiceConfig().domain,
-                    )
+                    executor.submit(served, descriptor, seed)
                     for seed, descriptor in enumerate(descriptors)
                 ]
-                reports = [future.result(timeout=120) for future in futures]
+                threaded = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert len(reports) == len(descriptors)
+        assert threaded == serial
+        assert all(report.integrity_failures == 0 for _, report in threaded)
         assert fleet._rng.getstate() == before
 
     def test_sheds_when_queues_full(self):
