@@ -41,6 +41,7 @@ from repro import obs
 from repro.crypto.fastexp import BlindingPool
 from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 from repro.errors import ProtocolError, QueryError
+from repro.globalq.parallel import run_shards
 from repro.globalq.queries import AggregateQuery, local_contributions
 from repro.obs import telemetry
 
@@ -428,29 +429,18 @@ class FoldEngine:
         ]
         value = CIPHER_IDENTITY
         count = CIPHER_IDENTITY
-        if self.pool is None or len(tasks) == 1:
-            partials = [
-                (task, fold_shard(task)) for task in tasks
-            ]
-        else:
-            futures = [self.pool.submit(fold_shard, task) for task in tasks]
-            partials = [
-                (task, future.result())
-                for task, future in zip(tasks, futures)
-            ]
-        for task, partial in partials:
-            with obs.span(
-                "globalq.fold.shard",
-                shard=task.shard_index,
-                deltas=len(task.value_ciphers),
-            ) as shard_span:
-                shard_value, shard_count = telemetry.adopt(
-                    partial, shard_span
-                )
+        # A single shard has nothing to overlap with: it stays in-process.
+        for shard_value, shard_count in run_shards(
+            fold_shard, tasks, "globalq.fold.shard",
+            lambda task: {"deltas": len(task.value_ciphers)},
+            1, self.pool if len(tasks) > 1 else None,
+        ):
             value = value * shard_value % self.n_squared
             count = count * shard_count % self.n_squared
             self.shards_folded += 1
         return value, count
+
+
 class StandingAggregate:
     """The SSI's window state: sealed panes plus a live running fold.
 

@@ -1,10 +1,11 @@
-"""Sharded parallel execution of the [TNP14] collection phase.
+"""Sharded parallel execution of the [TNP14] collection and aggregation phases.
 
-The collection phase is embarrassingly parallel — every PDS encrypts its
-own contributions with fleet-wide keys. This module is its one execution
-path: every driver (synchronous, asynchronous, served) collects through
-:class:`ShardedCollector`, which may fan shards out over a process pool
-without giving up reproducibility:
+Both expensive phases of a global query are parallel by construction —
+every PDS encrypts its own contributions with fleet-wide keys, and any
+connected token can decrypt one partition. This module is their one
+execution path: every driver (synchronous, asynchronous, served) collects
+through :class:`ShardedCollector`, which may fan shards out over a process
+pool without giving up reproducibility:
 
 * the population is cut into fixed-size **shards** (shard geometry never
   depends on the worker count);
@@ -22,7 +23,34 @@ pickling), which is what makes ``parallel == serial`` an *exact* equality
 the tests and bench E23 assert, not an approximation: ``workers`` and
 ``pool`` only choose *where* shards run, never what they produce.
 
-The same machinery drives the Paillier secure-sum collection
+**What crosses the process boundary.** Pickling an object graph costs a
+reduce call and a class lookup per object, on both sides; at 10 000 PDSs
+that cost about as much as the encryption it bought. So a task that goes to a pool
+travels as flat data, and :func:`run_shards` is the only place that
+conversion happens:
+
+* *to a collection worker*: a :class:`CollectTask` whose rows are
+  ``(pds_id, [attribute dict, ...])`` — no ``PdsNode``, no
+  ``PersonRecord`` (:func:`pack_collect_task`);
+* *from a collection worker*: one tuple of arrays and byte strings per
+  shard — pds ids, per-node tuple and fake counts, blob lengths, the
+  joined blobs, and the distinct tags / bucket ids with one index per
+  contribution (:func:`pack_contributions`), which the submitter turns
+  back into :class:`NodeContributions` (:func:`unpack_contributions`);
+* *to an aggregation worker*: an :class:`AggregateTask` — the fleet seed,
+  the sizes of a run of consecutive partitions, blob lengths and the
+  joined blobs;
+* *from an aggregation worker*: per-partition group names, sums, counts,
+  the three tallies and the seen ``(pds_id, sequence)`` pairs as flat
+  arrays (:func:`pack_outcomes`), turned back into
+  :class:`~repro.globalq.protocol.AggregationOutcome` objects
+  (:func:`unpack_outcomes`).
+
+An inline run constructs none of this: it builds and returns the same
+objects it hands to the SSI, and aggregates each partition with the
+caller's own keyed fleet.
+
+The same drain drives the Paillier secure-sum collection
 (:func:`collect_encrypted_sum`): each shard encrypts its sites through a
 shard-seeded :class:`~repro.crypto.fastexp.BlindingPool` and returns one
 partial homomorphic aggregate for the SSI to merge.
@@ -33,11 +61,20 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import threading
+from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
+from itertools import chain
 
 from repro import obs
-from repro.globalq.queries import AggregateQuery, local_contributions
+from repro.globalq.messages import EncryptedContribution
+from repro.globalq.queries import (
+    Accumulator,
+    AggregateQuery,
+    local_contributions,
+)
 from repro.obs import telemetry
 
 #: Nodes per shard. Fixed (never derived from the worker count) so that
@@ -74,8 +111,11 @@ class WorkerPool:
     on which pool executes them, so routing through a shared pool cannot
     change a single ciphertext.
 
-    ``submit`` is thread-safe (it delegates to the executor), so
-    concurrent queries of one service can share one pool.
+    ``submit`` is thread-safe — executor creation is locked and the rest
+    delegates to the executor — so concurrent queries of one service can
+    share one pool. A worker that dies breaks the executor, not the pool:
+    :func:`run_shards` reports it through :meth:`discard_broken`, and the
+    next ``submit`` spawns fresh workers.
     """
 
     def __init__(self, workers: int) -> None:
@@ -84,6 +124,7 @@ class WorkerPool:
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
+        self._lock = threading.Lock()
 
     @property
     def closed(self) -> bool:
@@ -92,21 +133,38 @@ class WorkerPool:
     @property
     def executor(self) -> ProcessPoolExecutor:
         """The live executor (workers spawn lazily on first use)."""
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            return self._executor
 
     def submit(self, fn, *args):
         return self.executor.submit(fn, *args)
 
+    def discard_broken(self) -> None:
+        """Forget the executor after a ``BrokenProcessPool``.
+
+        A ``ProcessPoolExecutor`` that lost a worker fails every later
+        submit; dropping it lets the next :meth:`submit` respawn. When
+        several queries hit the same death, a late caller may drop a
+        healthy successor: its running shards still finish
+        (``shutdown(wait=False)`` cancels nothing) and the next submit
+        spawns again, so the race costs a respawn, never an answer.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=False)
+
     def close(self) -> None:
         """Shut the workers down; idempotent, and the pool stays closed."""
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -115,30 +173,54 @@ class WorkerPool:
         self.close()
 
 
-def run_shards(fn, tasks, span_name, describe, workers, pool):
+def _as_is(value):
+    return value
+
+
+def run_shards(fn, tasks, span_name, describe, workers, pool, wire=None):
     """Run ``fn`` over ``tasks``; yield each result inside its shard span.
 
-    The one drain both sharded phases share. Shards run inline when
+    The one drain every sharded phase shares. Shards run inline when
     ``workers == 1`` and no pool was passed; otherwise on ``pool``, or on a
     :class:`WorkerPool` opened for this call. Results come back in shard
     order, each yielded while its ``span_name`` span (inline execution, or
     the wait for the worker's result) is still open, so whatever the
     consumer records per shard is charged to that span.
+
+    ``wire`` is the flat form of a phase whose tasks and results are object
+    graphs: ``(pack, remote, unpack)`` — ``pack(task)`` is what a worker
+    receives, ``remote`` (a module-level function) runs it there and
+    returns flat data, ``unpack`` rebuilds ``fn(task)``'s result from it.
+    It is applied only to tasks that go to a pool; inline shards call
+    ``fn(task)`` and build nothing else.
+
+    A dead worker surfaces as ``BrokenProcessPool`` from this call; the
+    pool is told to drop its executor first, so the next call respawns.
     """
     if pool is None and workers > 1:
         with WorkerPool(workers) as own:
-            yield from run_shards(fn, tasks, span_name, describe, workers, own)
+            yield from run_shards(
+                fn, tasks, span_name, describe, workers, own, wire
+            )
         return
+
+    def shard_span(task):
+        return obs.span(span_name, shard=task.shard_index, **describe(task))
+
     if pool is None:
-        pending = ((task, None) for task in tasks)
-    else:
-        pending = [(task, pool.submit(fn, task)) for task in tasks]
-    for task, future in pending:
-        with obs.span(
-            span_name, shard=task.shard_index, **describe(task)
-        ) as shard_span:
-            result = fn(task) if future is None else future.result()
-            yield telemetry.adopt(result, shard_span)
+        for task in tasks:
+            with shard_span(task) as span:
+                yield telemetry.adopt(fn(task), span)
+        return
+    pack, remote, unpack = wire or (_as_is, fn, _as_is)
+    try:
+        futures = [pool.submit(remote, pack(task)) for task in tasks]
+        for task, future in zip(tasks, futures):
+            with shard_span(task) as span:
+                yield unpack(telemetry.adopt(future.result(), span))
+    except BrokenProcessPool:
+        pool.discard_broken()
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +234,9 @@ class CollectTask:
     shard_seed: int
     fleet_seed: int
     query: AggregateQuery
+    #: The shard's nodes in population order: the caller's own ``PdsNode``
+    #: objects inline; ``(pds_id, [attribute dict, ...])`` rows once
+    #: :attr:`flat` (a dict answers ``get``/``[]``/``in`` like a record).
     nodes: tuple
     with_group_tag: bool = False
     bucketizer: object = None
@@ -159,6 +244,8 @@ class CollectTask:
     #: Distributed trace context of the submitting span (or None): lets a
     #: worker process record its shard span for adoption by the submitter.
     trace: object = None
+    #: Set by :func:`pack_collect_task`: ``nodes`` holds rows, not objects.
+    flat: bool = False
 
 
 @dataclass(slots=True)
@@ -201,14 +288,18 @@ def collect_shard(task: CollectTask):
             rng = random.Random(task.shard_seed)
             out = []
             for node in task.nodes:
-                real = local_contributions(node.records, task.query)
+                if task.flat:
+                    pds_id, records = node
+                else:
+                    pds_id, records = node.pds_id, node.records
+                real = local_contributions(records, task.query)
                 fakes = (
                     plan_fakes(real, task.noise, rng)
                     if task.noise is not None
                     else ()
                 )
                 contributions = encrypt_contributions(
-                    node.pds_id,
+                    pds_id,
                     real,
                     fakes,
                     fleet.payload_cipher(rng.getrandbits(64)),
@@ -216,11 +307,104 @@ def collect_shard(task: CollectTask):
                     task.bucketizer,
                 )
                 out.append(
-                    NodeContributions(node.pds_id, contributions, len(fakes))
+                    NodeContributions(pds_id, contributions, len(fakes))
                 )
     if recording is not None:
         return recording.wrap(out)
     return out
+
+
+# -- flat forms for the process boundary (see the module docstring) -----
+def _join(blobs: list) -> tuple:
+    """``blobs`` as ``(lengths, joined)``."""
+    return array("I", map(len, blobs)), b"".join(blobs)
+
+
+def _chunks(sequence, sizes):
+    """Consecutive slices of ``sequence``, ``sizes[i]`` items each."""
+    end = 0
+    for size in sizes:
+        start, end = end, end + size
+        yield sequence[start:end]
+
+
+def _flat(result, pack):
+    """A worker's ``result`` with its payload packed, traced or not."""
+    if isinstance(result, telemetry.TracedResult):
+        return replace(result, result=pack(result.result))
+    return pack(result)
+
+
+def pack_collect_task(task: CollectTask) -> CollectTask:
+    """``task`` with every node reduced to a row of attribute dicts."""
+    return replace(
+        task,
+        nodes=tuple(
+            (node.pds_id, [record.attributes for record in node.records])
+            for node in task.nodes
+        ),
+        flat=True,
+    )
+
+
+def pack_contributions(shard: list) -> tuple:
+    """One shard's :class:`NodeContributions` as arrays and byte strings.
+
+    Tags and bucket ids repeat (one per group, one per bucket), so each
+    travels as a table of distinct values — ``None`` included — plus one
+    index per contribution.
+    """
+    pds_ids = array("Q")
+    tuple_counts = array("I")
+    fake_counts = array("I")
+    blobs = []
+    tags: dict = {}
+    tag_ids = array("I")
+    buckets: dict = {}
+    bucket_ids = array("I")
+    for item in shard:
+        pds_ids.append(item.pds_id)
+        tuple_counts.append(len(item.contributions))
+        fake_counts.append(item.fake_count)
+        for contribution in item.contributions:
+            blobs.append(contribution.blob)
+            tag_ids.append(tags.setdefault(contribution.group_tag, len(tags)))
+            bucket_ids.append(
+                buckets.setdefault(contribution.bucket_id, len(buckets))
+            )
+    return (
+        pds_ids, tuple_counts, fake_counts, *_join(blobs),
+        list(tags), tag_ids, list(buckets), bucket_ids,
+    )
+
+
+def unpack_contributions(flat: tuple) -> list:
+    """Inverse of :func:`pack_contributions`."""
+    (
+        pds_ids, tuple_counts, fake_counts, lengths, joined,
+        tags, tag_ids, buckets, bucket_ids,
+    ) = flat
+    contributions = [
+        EncryptedContribution(blob, tags[tag], buckets[bucket])
+        for blob, tag, bucket in zip(
+            _chunks(joined, lengths), tag_ids, bucket_ids
+        )
+    ]
+    return [
+        NodeContributions(pds_id, own, fakes)
+        for pds_id, own, fakes in zip(
+            pds_ids, _chunks(contributions, tuple_counts), fake_counts
+        )
+    ]
+
+
+def collect_shard_flat(task: CollectTask):
+    """Worker entry point: a packed task in, a packed shard out."""
+    return _flat(collect_shard(task), pack_contributions)
+
+
+#: ``run_shards(wire=...)`` of the collection phase.
+COLLECT_WIRE = (pack_collect_task, collect_shard_flat, unpack_contributions)
 
 
 class ShardedCollector:
@@ -280,10 +464,185 @@ class ShardedCollector:
         for shard in run_shards(
             collect_shard, tasks, "globalq.collect.shard",
             lambda task: {"nodes": len(task.nodes)},
-            self.workers, self.pool,
+            self.workers, self.pool, COLLECT_WIRE,
         ):
             results.extend(shard)
         return results
+
+
+# ----------------------------------------------------------------------
+# Symmetric aggregation ([TNP14] families, phase 3)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AggregateTask:
+    """A run of consecutive partitions for one aggregation worker.
+
+    Born flat: it only ever exists on its way to a pool (inline runs hand
+    each partition to a :class:`~repro.globalq.protocol.TrustedAggregator`
+    keyed from the caller's own fleet).
+    """
+
+    shard_index: int
+    fleet_seed: int
+    #: Blobs per partition, in partition order.
+    partition_sizes: array
+    blob_lengths: array
+    blobs: bytes
+    #: Distributed trace context of the submitting span (or None).
+    trace: object = None
+
+
+def _runs(partitions, shard_size: int):
+    """Consecutive partitions grouped until a run holds ``shard_size`` blobs."""
+    run, blobs = [], 0
+    for partition in partitions:
+        run.append(partition)
+        blobs += len(partition)
+        if blobs >= shard_size:
+            yield run
+            run, blobs = [], 0
+    if run:
+        yield run
+
+
+def aggregate_tasks(
+    partitions, fleet_seed: int, shard_size: int
+) -> list[AggregateTask]:
+    """Cut ``partitions`` into runs of at least ``shard_size`` blobs.
+
+    Runs never reorder or split a partition, and their geometry follows
+    the partition sizes and ``shard_size`` only — never the worker count.
+    """
+    trace = telemetry.propagated()
+    return [
+        AggregateTask(
+            index,
+            fleet_seed,
+            array("I", map(len, run)),
+            *_join([c.blob for partition in run for c in partition]),
+            trace,
+        )
+        for index, run in enumerate(_runs(partitions, shard_size))
+    ]
+
+
+def pack_outcomes(outcomes: list) -> tuple:
+    """Per-partition :class:`AggregationOutcome` objects as flat arrays.
+
+    Groups keep their accumulator insertion order (the merged result's
+    key order follows it); the seen ``(pds_id, sequence)`` pairs flatten
+    to one array, ``pds_id`` at even and ``sequence`` at odd positions.
+    """
+    group_counts = array("I")
+    groups: list = []
+    sums = array("d")
+    counts = array("Q")
+    tallies = array("Q")
+    seen_counts = array("I")
+    seen = array("Q")
+    for outcome in outcomes:
+        accumulator = outcome.accumulator
+        group_counts.append(len(accumulator.sums))
+        groups.extend(accumulator.sums)
+        sums.extend(accumulator.sums.values())
+        counts.extend(accumulator.counts[group] for group in accumulator.sums)
+        tallies.extend(
+            (
+                outcome.real_tuples,
+                outcome.fake_tuples,
+                outcome.integrity_failures,
+            )
+        )
+        seen_counts.append(len(outcome.seen_pds_sequences))
+        seen.extend(chain.from_iterable(outcome.seen_pds_sequences))
+    return group_counts, groups, sums, counts, tallies, seen_counts, seen
+
+
+def unpack_outcomes(flat: tuple) -> list:
+    """Inverse of :func:`pack_outcomes`."""
+    from repro.globalq.protocol import AggregationOutcome
+
+    group_counts, groups, sums, counts, tallies, seen_counts, seen = flat
+    pairs = list(zip(seen[0::2], seen[1::2]))
+    outcomes = []
+    for names, group_sums, group_tallies, (real, fakes, failures), own in zip(
+        _chunks(groups, group_counts),
+        _chunks(sums, group_counts),
+        _chunks(counts, group_counts),
+        _chunks(tallies, [3] * len(group_counts)),
+        _chunks(pairs, seen_counts),
+    ):
+        accumulator = Accumulator()
+        accumulator.sums = dict(zip(names, group_sums))
+        accumulator.counts = dict(zip(names, group_tallies))
+        outcomes.append(
+            AggregationOutcome(
+                accumulator=accumulator,
+                real_tuples=real,
+                fake_tuples=fakes,
+                integrity_failures=failures,
+                seen_pds_sequences=set(own),
+            )
+        )
+    return outcomes
+
+
+def aggregate_shard(task: AggregateTask):
+    """Decrypt and fold one run of partitions (worker processes only).
+
+    The fleet is keyed once per task; each partition then goes through the
+    same :meth:`TrustedAggregator.aggregate` an inline run calls — every
+    tag check, integrity-failure count and replay skip included. Returns
+    :func:`pack_outcomes` of the run, wrapped in a
+    :class:`~repro.obs.telemetry.TracedResult` when the task's trace
+    context asked this worker process to record its execution span.
+    """
+    from repro.globalq.protocol import TokenFleet, TrustedAggregator
+
+    with telemetry.remote_recording(
+        task.trace, f"worker-{os.getpid()}"
+    ) as recording:
+        with obs.span(
+            "globalq.aggregate.shard.exec",
+            shard=task.shard_index,
+            partitions=len(task.partition_sizes),
+            blobs=len(task.blob_lengths),
+        ):
+            aggregator = TrustedAggregator(TokenFleet(task.fleet_seed))
+            contributions = [
+                EncryptedContribution(blob)
+                for blob in _chunks(task.blobs, task.blob_lengths)
+            ]
+            result = pack_outcomes(
+                [
+                    aggregator.aggregate(partition)
+                    for partition in _chunks(
+                        contributions, task.partition_sizes
+                    )
+                ]
+            )
+    if recording is not None:
+        return recording.wrap(result)
+    return result
+
+
+def aggregate_partitions(
+    partitions, fleet_seed: int, shard_size: int, pool: WorkerPool
+) -> list:
+    """Phase 3 on ``pool``: one outcome per partition, in partition order."""
+    outcomes = []
+    for shard in run_shards(
+        aggregate_shard,
+        aggregate_tasks(partitions, fleet_seed, shard_size),
+        "globalq.aggregate.shard",
+        lambda task: {
+            "partitions": len(task.partition_sizes),
+            "blobs": len(task.blob_lengths),
+        },
+        pool.workers, pool,
+    ):
+        outcomes.extend(unpack_outcomes(shard))
+    return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.globalq.parallel import (
     NodeContributions,
     ShardedCollector,
     WorkerPool,
+    aggregate_partitions,
 )
 from repro.globalq.queries import Accumulator, AggregateQuery, local_contributions
 from repro.globalq.ssi import HONEST, SsiBehavior, SupportingServerInfrastructure
@@ -258,10 +259,11 @@ class ProtocolFamily:
     :meth:`wire_form`) and how the SSI may therefore partition
     (:meth:`partition`); :meth:`run` is the only place the
     collection → partitioning → aggregation → report sequence is written.
-    ``workers``/``pool`` only choose where collection shards run (``1`` =
-    inline, ``>1`` or a persistent :class:`WorkerPool` = worker processes);
-    shard geometry and seeds never depend on them, so every setting
-    produces bit-identical contributions.
+    ``workers``/``pool`` only choose where the collection shards and the
+    aggregator tokens run (``1`` = inline, ``>1`` or a persistent
+    :class:`WorkerPool` = worker processes); shard geometry and seeds never
+    depend on them, so every setting produces bit-identical contributions
+    and an identical report.
     """
 
     name = ""
@@ -317,24 +319,60 @@ class ProtocolFamily:
     # The driver
     # ------------------------------------------------------------------
     def collect(
-        self, nodes: list[PdsNode], query: AggregateQuery
+        self,
+        nodes: list[PdsNode],
+        query: AggregateQuery,
+        pool: WorkerPool | None = None,
     ) -> list[NodeContributions]:
         """Phase 1 as every driver runs it: deterministic shards."""
         return ShardedCollector(
             self.workers, self.shard_size, self.collection_seed,
-            pool=self.pool,
+            pool=pool or self.pool,
         ).collect(nodes, query, self.fleet, **self.collection_options())
+
+    def aggregate(
+        self,
+        partitions: list[list[EncryptedContribution]],
+        pool: WorkerPool | None = None,
+    ) -> list[AggregationOutcome]:
+        """Phase 3's token work: one outcome per partition, in order.
+
+        Inline, each partition is decrypted by a token keyed from this
+        fleet; on a pool, runs of consecutive partitions go to workers
+        that key the fleet from its seed and do exactly the same.
+        """
+        pool = pool or self.pool
+        if pool is None:
+            return [
+                TrustedAggregator(self.fleet).aggregate(partition)
+                for partition in partitions
+            ]
+        return aggregate_partitions(
+            partitions, self.fleet.seed, self.shard_size, pool
+        )
 
     def run(
         self, nodes: list[PdsNode], query: AggregateQuery
     ) -> ProtocolReport:
-        """The three phases, in-process; every cost lands in the report."""
+        """The three phases; every cost lands in the report."""
+        if self.pool is None and self.workers > 1:
+            # One pool for both sharded phases of this run.
+            with WorkerPool(self.workers) as pool:
+                return self._run(nodes, query, pool)
+        return self._run(nodes, query, self.pool)
+
+    def _run(
+        self,
+        nodes: list[PdsNode],
+        query: AggregateQuery,
+        pool: WorkerPool | None,
+    ) -> ProtocolReport:
         channel = Channel()
         ssi = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
 
         # Phase 1: collection — every PDS uploads what its family exposes.
         tuples_sent = fakes_sent = 0
-        for item in self.collect(nodes, query):
+        for item in self.collect(nodes, query, pool):
             tuples_sent += len(item.contributions)
             fakes_sent += item.fake_count
             channel.send_batch(
@@ -350,21 +388,20 @@ class ProtocolFamily:
         # A token may disconnect mid-partition; the SSI reassigns the same
         # ciphertext partition to another token (pure retry: aggregation is
         # deterministic and side-effect free until the partial is returned).
-        outcomes = []
-        decryptions = 0
+        # The SSI's hand-offs — channel accounting and the disconnect draws
+        # — happen here, in partition order, wherever the tokens then run.
         retries = 0
         for index, partition in enumerate(partitions):
             blobs = [contribution.blob for contribution in partition]
             while True:
                 channel.send_batch("ssi", f"aggregator-{index}", blobs)
-                if self.rng.random() < self.aggregator_failure_rate:
-                    retries += 1
-                    if retries > 100 * max(1, len(partitions)):
-                        raise RuntimeError("no connected tokens available")
-                    continue
-                outcomes.append(TrustedAggregator(self.fleet).aggregate(partition))
-                decryptions += len(partition)
-                break
+                if self.rng.random() >= self.aggregator_failure_rate:
+                    break
+                retries += 1
+                if retries > 100 * max(1, len(partitions)):
+                    raise RuntimeError("no connected tokens available")
+        outcomes = self.aggregate(partitions, pool)
+        decryptions = sum(len(partition) for partition in partitions)
         for index, outcome in enumerate(outcomes):
             channel.send(
                 f"aggregator-{index}",

@@ -562,7 +562,34 @@ class SsiQueryService:
         await endpoint.send(frame.sender, reply)
 
     async def _answer_frame(self, endpoint, frame: Frame, seq: int) -> None:
-        request = decode_json_payload(frame.payload)
+        """Answer one ``QUERY`` frame: always exactly one reply.
+
+        ``RESULT`` on success, else a ``REJECT`` whose ``error`` says why:
+        ``overloaded`` (shed, with the typed admission fields),
+        ``bad_request`` (payload or descriptor does not parse) or
+        ``failed`` (the execution raised). A poison frame or a crashed
+        execution never leaves the querier waiting or the endpoint down.
+        """
+
+        async def reject(request_id, error: str, trace=None, **fields):
+            payload = {"request_id": request_id, "error": error, **fields}
+            await endpoint.send(
+                frame.sender,
+                Frame(
+                    kind=KIND_REJECT,
+                    sender=endpoint.name,
+                    seq=seq,
+                    payload=encode_json_payload(payload),
+                    trace=trace,
+                ),
+            )
+
+        try:
+            request = decode_json_payload(frame.payload)
+        except ProtocolError as exc:
+            self.registry.counter("service.query.rejected").inc()
+            await reject(None, "bad_request", detail=str(exc))
+            return
         request_id = request.get("request_id")
         # The frame's trace context links this span under the querier's
         # sending span; the child context handed to submit() then links
@@ -581,22 +608,31 @@ class SsiQueryService:
                     descriptor = QueryDescriptor.from_dict(request)
                     served = await self.submit(descriptor, trace=child)
                 except Overloaded as exc:
-                    reply = Frame(
-                        kind=KIND_REJECT,
-                        sender=endpoint.name,
-                        seq=seq,
-                        payload=encode_json_payload(
-                            {
-                                "request_id": request_id,
-                                "error": "overloaded",
-                                "query_class": exc.query_class,
-                                "queued": exc.queued,
-                                "limit": exc.limit,
-                            }
-                        ),
-                        trace=child,
+                    await reject(
+                        request_id,
+                        "overloaded",
+                        child,
+                        query_class=exc.query_class,
+                        queued=exc.queued,
+                        limit=exc.limit,
                     )
-                    await endpoint.send(frame.sender, reply)
+                    return
+                except QueryError as exc:
+                    self.registry.counter("service.query.rejected").inc()
+                    await reject(
+                        request_id, "bad_request", child, detail=str(exc)
+                    )
+                    return
+                except Exception as exc:  # the endpoint must keep answering
+                    self.registry.counter("service.query.failed").inc()
+                    obs.event(
+                        "service.query.failed",
+                        request_id=request_id,
+                        error=repr(exc),
+                    )
+                    await reject(
+                        request_id, "failed", child, detail=repr(exc)
+                    )
                     return
                 reply = Frame(
                     kind=KIND_RESULT,

@@ -7,11 +7,17 @@ same accounting, same final aggregates — because shard geometry and seeds
 never depend on scheduling.
 """
 
+import os
 import random
+import signal
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.crypto.paillier import generate_keypair
+from repro.globalq import parallel
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
 from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
 from repro.globalq.parallel import (
@@ -129,6 +135,60 @@ class TestWorkerPool:
         first = pool.executor
         assert pool.executor is first
         pool.close()
+
+    def test_concurrent_first_submits_construct_one_executor(self, monkeypatch):
+        """Regression: ``executor`` was check-then-set, so two first queries
+        of a service could each build a ``ProcessPoolExecutor`` and leak
+        one. The double counts constructions; nothing is timed."""
+        constructed = []
+
+        class SlowExecutor:
+            def __init__(self, max_workers):
+                constructed.append(self)
+                time.sleep(0.02)  # hold the window open for the others
+
+            def submit(self, fn, *args):
+                return self
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", SlowExecutor)
+        pool = WorkerPool(workers=2)
+        start = threading.Barrier(16)
+        submitted = []
+
+        def first_query():
+            start.wait(timeout=10)
+            submitted.append(pool.submit(len, ()))
+
+        threads = [threading.Thread(target=first_query) for _ in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        pool.close()
+        assert len(constructed) == 1
+        assert submitted == constructed * 16
+
+    def test_dead_worker_fails_one_query_then_pool_respawns(self):
+        """Regression: a killed pool child left every later query raising
+        ``BrokenProcessPool`` for the life of the pool."""
+
+        def run(pool=None):
+            return SecureAggregationProtocol(
+                TokenFleet(0), rng=random.Random(1), shard_size=16, pool=pool
+            ).run(NODES, QUERY)
+
+        with WorkerPool(workers=2) as pool:
+            assert run(pool) == run()
+            victim = pool.submit(os.getpid).result(timeout=30)
+            os.kill(victim, signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                run(pool)
+            assert run(pool) == run()
+            assert pool.submit(os.getpid).result(timeout=30) != victim
 
     def test_close_is_idempotent_and_final(self):
         pool = WorkerPool(workers=1)

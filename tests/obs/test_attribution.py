@@ -393,6 +393,23 @@ class TestServiceWireTrace:
             assert chain[0] == "globalq.collect.shard"
             assert "service.query" in chain
             assert chain[-1] == "querier.request"
+        # So did every aggregator token: phase 3 rides the same pool, and
+        # its exec spans are adopted under their wait spans the same way.
+        token_runs = by_name["globalq.aggregate.shard.exec"]
+        waits = by_name["globalq.aggregate.shard"]
+        assert len(token_runs) == len(waits) > 0
+        assert sum(s.attrs["blobs"] for s in token_runs) == 48
+        assert [s.attrs["blobs"] for s in waits] == [
+            s.attrs["blobs"] for s in sorted(
+                token_runs, key=lambda s: s.attrs["shard"]
+            )
+        ]
+        for span in token_runs:
+            assert span.process and span.process.startswith("worker-")
+            chain = ancestors(span)
+            assert chain[0] == "globalq.aggregate.shard"
+            assert "service.query" in chain
+            assert chain[-1] == "querier.request"
         # One trace id stamps the whole tree, wire to child process.
         assert {
             s.trace_id for s in tracer.spans if s.trace_id is not None

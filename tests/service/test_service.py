@@ -8,13 +8,16 @@ the snapshot/seed the service recorded for it.
 
 import asyncio
 import hashlib
+import os
 import random
+import signal
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import NetError
+from repro.globalq.parallel import WorkerPool
 from repro.globalq.queries import AggregateQuery
 from repro.net.bus import MessageBus
 from repro.net.codec import (
@@ -296,3 +299,101 @@ class TestWireFrontend:
         assert body["request_id"] == 7
         assert body["error"] == "overloaded"
         assert body["limit"] == 0
+
+
+class TestQueryFrameGuard:
+    """Every QUERY frame gets exactly one reply, and the endpoint lives on.
+
+    Regression: only ``Overloaded`` was guarded, so a malformed payload, an
+    unknown family or a crashed execution left the querier waiting forever
+    ("Task exception was never retrieved") — while DELTA frames already
+    had a poison guard.
+    """
+
+    GOOD = encode_json_payload(dict(COUNT.to_dict(), request_id="good"))
+
+    @staticmethod
+    async def exchange(config, payloads, between=None):
+        """Send ``payloads`` one at a time on one endpoint; the replies."""
+        bus = MessageBus()
+        ssi = bus.register("ssi")
+        querier = bus.register("querier")
+        service = SsiQueryService(slim_population(50), config)
+        service.start()
+        server = asyncio.ensure_future(service.serve_endpoint(ssi))
+        replies = []
+        try:
+            for seq, payload in enumerate(payloads):
+                if between is not None:
+                    between(seq)
+                await querier.send(
+                    "ssi", Frame(KIND_QUERY, "querier", seq, payload)
+                )
+                reply = await querier.recv(timeout=30.0)
+                replies.append(
+                    (reply.kind, decode_json_payload(reply.payload))
+                )
+        finally:
+            server.cancel()
+            await service.stop()
+        return replies, service.metrics_snapshot()
+
+    def test_poison_frames_are_rejected_and_the_next_query_is_served(self):
+        unknown_family = dict(COUNT.to_dict(), family="no-such", request_id=2)
+        no_aggregate = {"family": FAMILY_SECURE_AGG, "request_id": 3}
+        replies, metrics = run(
+            self.exchange(
+                ServiceConfig(max_in_flight=1, cache_capacity=0),
+                [
+                    b"{not json",
+                    self.GOOD,
+                    encode_json_payload(unknown_family),
+                    encode_json_payload(no_aggregate),
+                    b"[1, 2]",
+                    self.GOOD,
+                ],
+            )
+        )
+        kinds = [kind for kind, _ in replies]
+        assert kinds == [
+            KIND_REJECT, KIND_RESULT, KIND_REJECT, KIND_REJECT, KIND_REJECT,
+            KIND_RESULT,
+        ]
+        rejects = [body for kind, body in replies if kind == KIND_REJECT]
+        assert [body["error"] for body in rejects] == ["bad_request"] * 4
+        assert [body["request_id"] for body in rejects] == [None, 2, 3, None]
+        assert all(body["detail"] for body in rejects)
+        assert "no-such" in rejects[1]["detail"]
+        for kind, body in replies:
+            if kind == KIND_RESULT:
+                assert body["request_id"] == "good"
+                assert body["result"] == {"*": 50.0}
+        assert metrics["service.query.rejected"] == 4
+        assert "service.query.failed" not in metrics
+
+    def test_pool_death_fails_one_query_then_the_service_recovers(self):
+        with WorkerPool(workers=2) as pool:
+
+            def kill_a_worker(seq):
+                if seq == 1:
+                    victim = pool.submit(os.getpid).result(timeout=30)
+                    os.kill(victim, signal.SIGKILL)
+
+            replies, metrics = run(
+                self.exchange(
+                    ServiceConfig(
+                        max_in_flight=1, cache_capacity=0, workers=2,
+                        shard_size=16, pool=pool,
+                    ),
+                    [self.GOOD] * 3,
+                    between=kill_a_worker,
+                )
+            )
+        (_, first), (failed_kind, failed), (_, after) = replies
+        assert failed_kind == KIND_REJECT
+        assert failed["error"] == "failed"
+        assert failed["request_id"] == "good"
+        assert "BrokenProcessPool" in failed["detail"]
+        assert first["result"] == after["result"] == {"*": 50.0}
+        assert metrics["service.query.failed"] == 1
+        assert "service.query.rejected" not in metrics
