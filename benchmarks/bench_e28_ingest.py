@@ -1,37 +1,37 @@
 """E28 — High-throughput delta ingestion: the deltas/sec knee.
 
-Claims under test (Issue 10's acceptance criteria):
+Claims under test:
 
-* **exactness is free**: every ingest configuration — one-fold-per-delta
-  legacy, PDS-side pane coalescing (``DeltaBatcher``), batched folds of any
-  chunk size, sharded folds on 1 or 2 workers — produces **bit-identical**
-  pane-product ciphertexts at every sealed window boundary (same integers
-  mod n², not merely the same plaintexts), and decrypting the folded state
-  equals plaintext recollection over the tracked contribution state;
-* **throughput is not**: the batched path sustains ``>= 5x`` the
-  application deltas/sec of the PR-9 one-frame-one-fold path, because
-  coalescing ``changes_per_pane`` updates of one PDS into a single wire
-  delta divides the SSI's fold work (and frame count) by that factor;
+* **exactness is free**: every ingest configuration — PDS-side pane
+  coalescing (``DeltaBatcher``), batched folds of any chunk size, sharded
+  folds on 1 or 2 workers — produces **bit-identical** pane-product
+  ciphertexts at every sealed window boundary (same integers mod n², not
+  merely the same plaintexts), and decrypting the folded state equals
+  plaintext recollection over the tracked contribution state;
+* **throughput is measured, not ratioed against a slow twin**: each cell
+  reports SSI-side deltas/sec, with the first batched-serial cell as the
+  1.00 row (the one-frame-one-fold path it used to be compared with is
+  gone; its last measured ratios are kept in EXPERIMENTS.md);
 * at the service layer, the bounded ingest queue **sheds instead of
   growing**: an open-loop burst past the queue depth raises ``Overloaded``
-  per excess frame and every offered delta is accounted folded/shed/
+  per excess delta and every offered delta is accounted folded/shed/
   rejected — none silently vanish.
 
 Three phases:
 
 * **A — fold matrix**: one pre-encrypted delta timeline replayed through
-  every (mode, workers, batch) cell at the ``StandingRegistry`` layer, with
+  every (workers, batch) cell at the ``StandingRegistry`` layer, with
   the equality gate armed at every sealed boundary. SSI-side wall clock
   only — PDS-side coalescing cost is measured separately and reported in
   ``meta`` (it is distributed across data owners, not the SSI's bill).
 * **B — open-loop knee**: ``OpenLoopDeltaStorm`` fires pre-encoded frames
   at a running ``SsiQueryService`` across an arrival-rate ladder;
-  ``find_knee`` locates the highest rate where folds keep up. Legacy mode
-  offers one ``DELTA`` frame per delta; batched modes offer coalesced
-  ``DELTA_BATCH`` frames, so their application-level knee is the wire knee
-  times the coalescing factor.
-* **C — overload probe**: a no-yield burst into a tiny ingest queue must
-  shed, and ``folded + shed + rejected == offered``.
+  ``find_knee`` locates the highest rate where folds keep up. Frames are
+  coalesced ``DELTA_BATCH`` frames, so the application-level knee is the
+  wire knee times the coalescing factor.
+* **C — overload probe**: a no-yield burst of one-entry ``DELTA_BATCH``
+  frames into a tiny ingest queue must shed, and
+  ``folded + shed + rejected == offered``.
 
 The equality gate raises on the first mismatch, in smoke mode too — the
 ``continuous-smoke`` CI job runs this bench with workers=2 armed.
@@ -59,13 +59,7 @@ from repro.globalq.continuous import (
 )
 from repro.globalq.parallel import WorkerPool
 from repro.globalq.queries import AggregateQuery
-from repro.net.codec import (
-    KIND_DELTA,
-    KIND_DELTA_BATCH,
-    Frame,
-    encode_delta,
-    encode_delta_batch,
-)
+from repro.net.codec import KIND_DELTA_BATCH, Frame, encode_delta_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     OpenLoopDeltaStorm,
@@ -203,7 +197,7 @@ def run_cell(
     assertion), and the equality-gate verdict.
     """
     registry, sub = fresh_registry(public, pds_count, pool, shard_size)
-    batcher = DeltaBatcher(public.n, sub.spec) if mode != "legacy" else None
+    batcher = DeltaBatcher(public.n, sub.spec)
     ciphers: list[tuple] = []
     gate_ok = True
     raw = 0
@@ -212,22 +206,15 @@ def run_cell(
     pds_s = 0.0
     for t, tick in enumerate(by_tick):
         raw += len(tick)
-        if batcher is None:
-            entries = [(sub.sub_id, delta) for delta in tick]
-        else:
-            started = time.perf_counter()
-            for delta in tick:
-                batcher.add(sub.sub_id, delta)
-            entries = batcher.flush()
-            pds_s += time.perf_counter() - started
+        started = time.perf_counter()
+        for delta in tick:
+            batcher.add(sub.sub_id, delta)
+        entries = batcher.flush()
+        pds_s += time.perf_counter() - started
         wire += len(entries)
         started = time.perf_counter()
-        if mode == "legacy":
-            for sub_id, delta in entries:
-                registry.ingest(sub_id, delta)
-        else:
-            for i in range(0, len(entries), batch_size):
-                registry.ingest_many(entries[i : i + batch_size])
+        for i in range(0, len(entries), batch_size):
+            registry.ingest_many(entries[i : i + batch_size])
         updates = registry.advance(t + 1).get(sub.sub_id, [])
         ssi_s += time.perf_counter() - started
         for update in updates:
@@ -274,37 +261,28 @@ def run_matrix(experiment: Experiment, params, public, private) -> dict:
     # Warm the worker processes outside every timed region.
     pool.submit(fold_shard, FoldShardTask(0, 25, (3,), (4,))).result()
 
-    legacy = run_cell(
-        public, private, by_tick, expected, params["pds_count"],
-        "legacy", None, shard, 1,
-    )
-    legacy_rate = legacy["raw"] / legacy["ssi_s"]
-    experiment.add_row(
-        "legacy", 0, 1, legacy["raw"], legacy["wire"],
-        round(legacy["ssi_s"], 4), round(legacy_rate, 1), 1.0, True,
-    )
-
     cells = []
+    reference = None  # the first batched-serial cell: the 1.00 row
     for workers in params["workers"]:
         for batch_size in params["batch_sizes"]:
+            mode = "batched" if workers == 1 else "batched+sharded"
             cell = run_cell(
                 public, private, by_tick, expected, params["pds_count"],
-                "batched" if workers == 1 else "batched+sharded",
-                pool if workers > 1 else None,
-                shard, batch_size,
+                mode, pool if workers > 1 else None, shard, batch_size,
             )
-            # Serial == parallel == legacy: the same integers mod n² at
-            # every sealed boundary, for every (workers, batch) cell.
-            if cell["ciphers"] != legacy["ciphers"]:
+            rate = cell["raw"] / cell["ssi_s"]
+            # Serial == parallel: the same integers mod n² at every sealed
+            # boundary, for every (workers, batch) cell.
+            if reference is None:
+                reference, reference_rate = cell, rate
+            elif cell["ciphers"] != reference["ciphers"]:
                 raise AssertionError(
                     f"bit-identity broke at workers={workers} "
                     f"batch={batch_size}"
                 )
-            rate = cell["raw"] / cell["ssi_s"]
-            speedup = rate / legacy_rate
+            speedup = rate / reference_rate
             experiment.add_row(
-                "batched" if workers == 1 else "batched+sharded",
-                workers, batch_size, cell["raw"], cell["wire"],
+                mode, workers, batch_size, cell["raw"], cell["wire"],
                 round(cell["ssi_s"], 4), round(rate, 1),
                 round(speedup, 2), cell["gate_ok"],
             )
@@ -318,11 +296,11 @@ def run_matrix(experiment: Experiment, params, public, private) -> dict:
             )
     pool.close()
     return {
-        "legacy_deltas_per_s": round(legacy_rate, 1),
+        "reference_deltas_per_s": round(reference_rate, 1),
         "coalesce_factor": round(
-            legacy["raw"] / max(1, coalesced_wire_count(by_tick)), 2
+            reference["raw"] / max(1, coalesced_wire_count(by_tick)), 2
         ),
-        "boundaries_checked": len(legacy["ciphers"]),
+        "boundaries_checked": len(reference["ciphers"]),
         "cells": cells,
     }
 
@@ -357,12 +335,12 @@ def cipher_palette(public, seed: int, size: int = 48):
     return values, zero_count
 
 
-def storm_frames(public, mode: str, raw_count: int, frame_raw: int, seed):
+def storm_frames(public, raw_count: int, frame_raw: int, seed):
     """Pre-encode one rate point's frames; returns (frames, wire_count).
 
-    Legacy: one ``DELTA`` frame per raw delta. Batched: raw deltas chunked
-    ``frame_raw`` at a time through a persistent ``DeltaBatcher`` (seqs
-    stay monotone per PDS across frames) into ``DELTA_BATCH`` frames. All
+    Raw deltas are chunked ``frame_raw`` at a time through a persistent
+    ``DeltaBatcher`` (seqs stay monotone per PDS across frames) into
+    ``DELTA_BATCH`` frames; ``frame_raw=1`` yields one-entry frames. All
     timestamps are 0 — the knee is about sustained fold rate, not window
     sealing, and Phase A already gates sealing exactness.
     """
@@ -385,43 +363,30 @@ def storm_frames(public, mode: str, raw_count: int, frame_raw: int, seed):
         )
     frames = []
     wire = 0
-    if mode == "legacy":
-        for i, delta in enumerate(deltas):
-            frames.append(
-                (
-                    Frame(KIND_DELTA, "pds", i + 1, encode_delta(1, delta)),
-                    1,
-                )
+    batcher = DeltaBatcher(public.n, WindowSpec(WIDTH, SLIDE))
+    for i in range(0, len(deltas), frame_raw):
+        for delta in deltas[i : i + frame_raw]:
+            batcher.add(1, delta)
+        entries = batcher.flush()
+        wire += len(entries)
+        frames.append(
+            (
+                Frame(
+                    KIND_DELTA_BATCH,
+                    "pds",
+                    len(frames) + 1,
+                    encode_delta_batch(entries),
+                ),
+                len(entries),
             )
-        wire = len(deltas)
-    else:
-        batcher = DeltaBatcher(public.n, WindowSpec(WIDTH, SLIDE))
-        for i in range(0, len(deltas), frame_raw):
-            for delta in deltas[i : i + frame_raw]:
-                batcher.add(1, delta)
-            entries = batcher.flush()
-            wire += len(entries)
-            frames.append(
-                (
-                    Frame(
-                        KIND_DELTA_BATCH,
-                        "pds",
-                        len(frames) + 1,
-                        encode_delta_batch(entries),
-                    ),
-                    len(entries),
-                )
-            )
+        )
     return frames, wire
 
 
-def coalesce_probe(public, params, mode: str) -> float:
-    """Raw-per-wire ratio of one mode's frame stream (1.0 for legacy)."""
-    if mode == "legacy":
-        return 1.0
+def coalesce_probe(public, params) -> float:
+    """Raw-per-wire ratio of the coalesced frame stream."""
     _frames, probe_wire = storm_frames(
-        public, mode, params["knee_frame_raw"], params["knee_frame_raw"],
-        seed=1,
+        public, params["knee_frame_raw"], params["knee_frame_raw"], seed=1
     )
     return params["knee_frame_raw"] / max(1, probe_wire)
 
@@ -436,8 +401,7 @@ async def run_knee_point(
     raw_count = max(8, int(wire_rate * params["knee_seconds"] * factor))
     raw_count = min(raw_count, params["knee_max_raw"])
     frames, wire = storm_frames(
-        public, mode, raw_count, params["knee_frame_raw"],
-        seed=int(wire_rate) + (1 if mode == "legacy" else 2),
+        public, raw_count, params["knee_frame_raw"], seed=int(wire_rate) + 2
     )
     config = ServiceConfig(
         pool=pool if mode == "batched+sharded" else None,
@@ -465,9 +429,9 @@ async def run_knee_sweep(params, public) -> dict:
     pool.submit(fold_shard, FoldShardTask(0, 25, (3,), (4,))).result()
     sweep = {}
     try:
-        for mode in ("legacy", "batched", "batched+sharded"):
+        for mode in ("batched", "batched+sharded"):
             reports = []
-            raw_per_wire = coalesce_probe(public, params, mode)
+            raw_per_wire = coalesce_probe(public, params)
             for rate in params["knee_rates"]:
                 report, raw_count = await run_knee_point(
                     public, params, mode, rate, pool, raw_per_wire
@@ -511,11 +475,6 @@ async def run_knee_sweep(params, public) -> dict:
             }
     finally:
         pool.close()
-    legacy_rate = sweep["legacy"]["sustained_app_per_s"]
-    for mode in ("batched", "batched+sharded"):
-        sweep[mode]["sustained_vs_legacy"] = round(
-            sweep[mode]["sustained_app_per_s"] / max(1.0, legacy_rate), 2
-        )
     return sweep
 
 
@@ -534,12 +493,11 @@ async def run_overload_probe(params, public) -> dict:
         service.standing.subscribe(
             DESCRIPTOR, WindowSpec(WIDTH, SLIDE), public, local_source=False
         )
-        frames, _ = storm_frames(
-            public, "legacy", params["burst_frames"], 1, seed=99
-        )
+        frames, _ = storm_frames(public, params["burst_frames"], 1, seed=99)
         for frame, _count in frames:
-            service.ingest_frame(frame)  # no yield: the loop never drains
-        await service.drain_ingest()
+            # no yield: the drain loop never runs in between
+            service.ingest.offer(frame.payload)
+        await service.ingest.drain()
     finally:
         counters = {
             name: service.registry.counter(name).value
@@ -568,10 +526,9 @@ def build_experiment() -> Experiment:
     experiment = Experiment(
         "e28",
         "High-throughput delta ingestion: batching, sharding, the knee",
-        "every (mode, workers, batch) cell folds bit-identical pane "
-        "products and decrypts to recollection; the batched path sustains "
-        ">=5x the application deltas/sec of one-frame-one-fold; the "
-        "bounded ingest queue sheds instead of growing",
+        "every (workers, batch) cell folds bit-identical pane products "
+        "and decrypts to recollection; the bounded ingest queue sheds "
+        "instead of growing",
         [
             "mode", "workers", "batch", "raw_deltas", "wire_deltas",
             "ssi_s", "deltas_per_s", "speedup", "exact",
@@ -590,8 +547,7 @@ def build_experiment() -> Experiment:
     experiment.meta["sharding_note"] = (
         "at these key sizes one fold is ~microseconds, so shipping shards "
         "to worker processes trades big-int time for IPC time; the "
-        "workers=2 cells exist to pin bit-identity of the sharded path, "
-        "and the throughput win comes from coalescing + batched folds"
+        "workers=2 cells exist to pin bit-identity of the sharded path"
     )
 
     public, private = generate_keypair(params["bits"], random.Random(41))
@@ -624,25 +580,14 @@ def test_e28_ingest(benchmark):
         experiment.column("mode"), experiment.column("speedup")
     ):
         by_mode.setdefault(mode, []).append(s)
-    assert by_mode.get("batched"), "matrix produced no batched cells"
-    if smoke_mode():
-        # CI boxes are noisy; the full run gates the real >=5x criterion.
-        assert max(by_mode["batched"]) >= 1.5
-    else:
-        # The acceptance criterion: coalescing + batched folds sustain
-        # >=5x the one-frame-one-fold path. The sharded cells are gated
-        # on exactness only — at 256-bit keys per-fold compute is micro-
-        # seconds and worker IPC eats the parallel win (see meta note).
-        assert min(by_mode["batched"]) >= 5.0
+    # The first batched-serial cell is the 1.00 row every other cell is
+    # measured against; the sharded cells are gated on exactness only.
+    assert by_mode["batched"][0] == 1.0
+    assert by_mode.get("batched+sharded"), "matrix produced no sharded cells"
     overload = experiment.meta["overload"]
     assert overload["shed_engaged"] and overload["balanced"]
     knee = experiment.meta["knee"]
     assert knee["batched"]["sustained_app_per_s"] > 0
-    if not smoke_mode():
-        # Service-level: the full pipe (frame decode, queue, batch fold)
-        # must also sustain >=5x application deltas/sec over one-frame-
-        # one-fold — batching wins twice, on frames and on folds.
-        assert knee["batched"]["sustained_vs_legacy"] >= 5.0
 
     # pytest-benchmark row: one coalesced batch fold at the registry layer.
     public, private = generate_keypair(128, random.Random(3))

@@ -94,6 +94,8 @@ class WindowSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WindowSpec":
+        if not isinstance(data, dict):
+            raise QueryError("malformed window spec: not an object")
         try:
             slide = data.get("slide")
             return cls(

@@ -50,7 +50,7 @@ KIND_RESULT = 11  #: SSI service -> querier: the served aggregate
 KIND_REJECT = 12  #: SSI service -> querier: admission control shed the query
 KIND_TELEMETRY = 13  #: telemetry snapshot request/response (obs.top)
 KIND_SUBSCRIBE = 14  #: querier -> SSI service: register a standing query
-KIND_DELTA = 15  #: PDS -> SSI service: one encrypted +/- contribution delta
+# 15 stays unassigned: renumbering would move the bytes of every later kind.
 KIND_UPDATE = 16  #: SSI service -> querier: a window-boundary update
 KIND_DELTA_BATCH = 17  #: PDS -> SSI service: many deltas in one frame
 
@@ -69,7 +69,6 @@ KIND_NAMES = {
     KIND_REJECT: "REJECT",
     KIND_TELEMETRY: "TELEMETRY",
     KIND_SUBSCRIBE: "SUBSCRIBE",
-    KIND_DELTA: "DELTA",
     KIND_UPDATE: "UPDATE",
     KIND_DELTA_BATCH: "DELTA_BATCH",
 }
@@ -363,7 +362,7 @@ _DELTA_HEADER = struct.Struct("<IIIqHH")
 
 
 def encode_delta(subscription_id: int, delta: "EncryptedDelta") -> bytes:
-    """One ``DELTA`` payload: header + the two big-endian ciphertexts.
+    """One ``DELTA_BATCH`` entry: header + the two big-endian ciphertexts.
 
     The ciphertext blobs are what the bandwidth model charges — for a
     512-bit key each is 128 bytes, so one delta costs ~270 wire bytes
@@ -395,7 +394,7 @@ def decode_delta(data: bytes) -> "tuple[int, EncryptedDelta]":
     from repro.globalq.continuous import EncryptedDelta
 
     if len(data) < _DELTA_HEADER.size:
-        raise ProtocolError("delta frame too short")
+        raise ProtocolError("delta entry too short")
     sub_id, pds_id, seq, timestamp, vlen, clen = _DELTA_HEADER.unpack_from(
         data, 0
     )

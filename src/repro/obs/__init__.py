@@ -51,7 +51,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     PercentileHistogram,
     global_registry,
@@ -68,7 +67,6 @@ from repro.obs.tracer import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullSpan",
     "NULL_SPAN",

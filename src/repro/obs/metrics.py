@@ -13,8 +13,7 @@ stats objects register through :meth:`MetricsRegistry.register_stats`, a
 *pull* adapter that walks numeric dataclass fields (recursing into nested
 stats dataclasses, flattening ``dict``/``Counter`` fields) at snapshot
 time. Code that wants first-class instruments uses
-:meth:`counter`/:meth:`gauge`/:meth:`histogram`/:meth:`percentiles`
-directly.
+:meth:`counter`/:meth:`gauge`/:meth:`percentiles` directly.
 
 ``registry.snapshot()`` returns one flat JSON-ready dict — the object the
 bench harness embeds into ``BENCH_<id>.json`` under ``meta["profile"]``.
@@ -25,10 +24,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Callable
-
-#: Default histogram bucket upper bounds (powers of two, open-ended top).
-DEFAULT_BOUNDS = tuple(2**i for i in range(0, 21, 2))
-
 
 class Counter:
     """A monotonically increasing count."""
@@ -59,52 +54,6 @@ class Gauge:
         """Keep the running maximum (high-water convenience)."""
         if value > self.value:
             self.value = value
-
-
-class Histogram:
-    """Fixed-bucket histogram with count/sum/min/max running summary."""
-
-    __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max")
-
-    def __init__(self, bounds: tuple = DEFAULT_BOUNDS) -> None:
-        self.bounds = tuple(sorted(bounds))
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> dict:
-        buckets = {
-            f"le_{bound}": count
-            for bound, count in zip(self.bounds, self.bucket_counts)
-            if count
-        }
-        if self.bucket_counts[-1]:
-            buckets["inf"] = self.bucket_counts[-1]
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "buckets": buckets,
-        }
 
 
 #: Per-bucket growth factor of :class:`PercentileHistogram`. Fixed for the
@@ -241,7 +190,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[
-            str, Counter | Gauge | Histogram | PercentileHistogram
+            str, Counter | Gauge | PercentileHistogram
         ] = {}
         self._pulls: list[tuple[str, Callable[[], object]]] = []
 
@@ -265,9 +214,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
 
     def percentiles(self, name: str) -> PercentileHistogram:
         return self._get(name, PercentileHistogram)
@@ -294,7 +240,7 @@ class MetricsRegistry:
         """One flat JSON-ready dict of every instrument and pulled stat."""
         out: dict = {}
         for name, instrument in sorted(self._instruments.items()):
-            if isinstance(instrument, (Histogram, PercentileHistogram)):
+            if isinstance(instrument, PercentileHistogram):
                 out[name] = instrument.summary()
             else:
                 out[name] = instrument.value

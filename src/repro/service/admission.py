@@ -1,19 +1,15 @@
-"""Admission control: bounded queues, typed shedding, per-class fairness.
+"""Admission control: bounded queues, typed shedding, per-key fairness.
 
 An always-on SSI cannot let offered load queue without bound — queue depth
-is latency, and a mailbox that grows forever is how p999 dies. The
-controller enforces two limits the service config names explicitly:
-
-* ``max_in_flight`` — how many admitted queries may execute concurrently
-  (the scheduler runs exactly that many worker loops);
-* ``max_queue_depth`` — how many admitted-but-waiting queries may sit in
-  the per-class queues, *summed*. One more arrival is shed with a typed
-  :class:`Overloaded` carrying the observed depth, so clients (and the
-  load generator) can distinguish "rejected by policy" from a failure.
-
-Fairness is round-robin over the per-class FIFO queues: a burst of one
-query class cannot starve the others — each scheduling decision takes the
-next non-empty class after the one served last.
+is latency, and a mailbox that grows forever is how p999 dies. Both things
+the service queues — admitted queries waiting for a worker loop, decoded
+deltas waiting for the fold thread — sit in one structure,
+:class:`FairQueue`: a FIFO per key (query class, subscription id) under one
+*global* bound. An arrival past the bound is shed with a typed
+:class:`Overloaded` carrying the observed depth, so clients (and the load
+generator) can tell "rejected by policy" from a failure. Keys are served
+round-robin — the key served last goes to the back of the rotation — so a
+burst on one key cannot starve the others.
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ from repro.errors import NetError
 
 
 class Overloaded(NetError):
-    """The service shed this query at admission (queues full)."""
+    """The service shed this arrival at admission (queues full)."""
 
-    def __init__(self, query_class: str, queued: int, limit: int) -> None:
+    def __init__(self, query_class, queued: int, limit: int) -> None:
         super().__init__(
             f"overloaded: {queued} queued >= limit {limit} "
             f"(rejecting {query_class})"
@@ -36,6 +32,46 @@ class Overloaded(NetError):
         self.query_class = query_class
         self.queued = queued
         self.limit = limit
+
+
+class FairQueue:
+    """Bounded per-key FIFO queues drained round-robin across keys. Not
+    thread-safe: each user calls it from one thread (the event loop)."""
+
+    def __init__(self, limit: int) -> None:
+        if limit < 0:
+            raise ValueError("queue limit must be >= 0")
+        self.limit = limit
+        #: Items queued across all keys.
+        self.size = 0
+        # Rotation order: the front key is served next.
+        self._queues: OrderedDict[object, deque] = OrderedDict()
+
+    def push(self, key, item) -> None:
+        """Queue ``item`` under ``key`` or raise :class:`Overloaded`."""
+        if self.size >= self.limit:
+            raise Overloaded(key, self.size, self.limit)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = deque()
+        queue.append(item)
+        self.size += 1
+
+    def pop(self):
+        """``(key, oldest item)`` of the key at the front of the rotation."""
+        key, queue = self._queues.popitem(last=False)
+        item = queue.popleft()
+        self.size -= 1
+        if queue:
+            self._queues[key] = queue  # back of the rotation
+        return key, item
+
+    def drain(self) -> list:
+        """Remove and return every queued item."""
+        items = [item for queue in self._queues.values() for item in queue]
+        self._queues.clear()
+        self.size = 0
+        return items
 
 
 @dataclass
@@ -48,85 +84,46 @@ class AdmissionStats:
 
 
 class AdmissionController:
-    """Per-class bounded FIFO queues with round-robin dequeue."""
+    """The query scheduler's waiting room: a :class:`FairQueue` keyed by
+    query class, with per-class accounting and an awaitable dequeue.
+
+    ``max_queue_depth`` bounds admitted-but-waiting queries summed over the
+    classes; the service's ``max_in_flight`` worker loops dequeue them.
+    """
 
     def __init__(self, max_queue_depth: int) -> None:
-        if max_queue_depth < 0:
-            raise ValueError("max_queue_depth must be >= 0")
-        self.max_queue_depth = max_queue_depth
+        self._queue = FairQueue(max_queue_depth)
         self.stats = AdmissionStats()
-        # Insertion-ordered so round-robin order is deterministic.
-        self._queues: OrderedDict[str, deque] = OrderedDict()
-        self._last_served: str | None = None
         self._available = asyncio.Event()
 
     @property
     def depth(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        return self._queue.size
 
-    def depth_of(self, query_class: str) -> int:
-        queue = self._queues.get(query_class)
-        return len(queue) if queue is not None else 0
-
-    # ------------------------------------------------------------------
     def submit(self, query_class: str, ticket) -> None:
         """Admit ``ticket`` or raise :class:`Overloaded` (shed)."""
-        depth = self.depth
-        if depth >= self.max_queue_depth:
-            self.stats.shed += 1
-            by = self.stats.shed_by_class
+        stats = self.stats
+        try:
+            self._queue.push(query_class, ticket)
+        except Overloaded:
+            stats.shed += 1
+            by = stats.shed_by_class
             by[query_class] = by.get(query_class, 0) + 1
-            raise Overloaded(query_class, depth, self.max_queue_depth)
-        queue = self._queues.get(query_class)
-        if queue is None:
-            queue = self._queues[query_class] = deque()
-        queue.append(ticket)
-        self.stats.admitted += 1
-        by = self.stats.admitted_by_class
+            raise
+        stats.admitted += 1
+        by = stats.admitted_by_class
         by[query_class] = by.get(query_class, 0) + 1
-        self.stats.queue_depth_high_water = max(
-            self.stats.queue_depth_high_water, depth + 1
-        )
+        if self._queue.size > stats.queue_depth_high_water:
+            stats.queue_depth_high_water = self._queue.size
         self._available.set()
 
     async def next_ticket(self):
         """The next ticket, fair across classes; waits when all are empty."""
-        while True:
-            ticket = self._try_next()
-            if ticket is not None:
-                return ticket
+        while not self._queue.size:
             self._available.clear()
             await self._available.wait()
-
-    def _try_next(self):
-        classes = [name for name, q in self._queues.items() if q]
-        if not classes:
-            return None
-        # Round-robin: start just after the class served last.
-        if self._last_served in classes:
-            start = classes.index(self._last_served) + 1
-        elif self._last_served is not None:
-            # Served class drained: resume from the next registered class.
-            registered = list(self._queues)
-            later = [
-                name
-                for name in registered[
-                    registered.index(self._last_served) + 1 :
-                ]
-                if name in classes
-            ]
-            classes = later + [c for c in classes if c not in later]
-            start = 0
-        else:
-            start = 0
-        chosen = classes[start % len(classes)]
-        self._last_served = chosen
-        return self._queues[chosen].popleft()
+        return self._queue.pop()[1]
 
     def drain(self) -> list:
         """Remove and return every queued ticket (service shutdown)."""
-        tickets = []
-        for queue in self._queues.values():
-            tickets.extend(queue)
-            queue.clear()
-        return tickets
+        return self._queue.drain()

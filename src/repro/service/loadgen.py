@@ -167,8 +167,8 @@ class OpenLoopLoadGenerator:
 class OpenLoopDeltaStorm:
     """Open-loop delta traffic: pre-encoded frames fired at the clock.
 
-    The write-side sibling of :class:`OpenLoopLoadGenerator`. Frames
-    (``DELTA`` or ``DELTA_BATCH``) are pre-encoded by the caller —
+    The write-side sibling of :class:`OpenLoopLoadGenerator`.
+    ``DELTA_BATCH`` payloads are pre-encoded by the caller —
     ciphertexts are computed before the run, so the storm measures the
     service's ingest path (decode, queue, fold), never the generator's
     encryption speed — and fired on an absolute Poisson schedule: when the
@@ -177,7 +177,7 @@ class OpenLoopDeltaStorm:
     the discipline that exposes the deltas/sec knee.
 
     Deltas are fire-and-forget, so "completed" is read off the service's
-    ``globalq.ingest.folded`` counter after a final :meth:`drain_ingest`
+    ``globalq.ingest.folded`` counter after a final ``ingest.drain()``
     barrier; shed and rejected come from their counters the same way. The
     resulting :class:`LoadReport` plugs straight into :func:`find_knee`.
     """
@@ -212,11 +212,11 @@ class OpenLoopDeltaStorm:
             now = loop.time()
             if next_arrival > now:
                 await asyncio.sleep(next_arrival - now)
-            self.service.ingest_frame(frame)
+            self.service.ingest.offer(frame.payload)
             report.offered += delta_count
             next_arrival += rng.expovariate(rate)
             await asyncio.sleep(0)  # let the ingest worker interleave
-        await self.service.drain_ingest()
+        await self.service.ingest.drain()
         report.duration_s = loop.time() - started
         report.completed = int(
             registry.counter("globalq.ingest.folded").value - folded_before

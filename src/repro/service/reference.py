@@ -89,17 +89,9 @@ def _split_attr(name: str) -> tuple[str, str]:
     return table, column
 
 
-def run_embedded(
-    descriptor: QueryDescriptor, batch_size: int | None = None
-) -> ProtocolReport:
-    """Execute an embedded-spj descriptor on the hosted Part II engine.
-
-    ``batch_size`` selects the executor: None uses the engine default
-    (columnar batches), 0 forces the legacy tuple-at-a-time path, N sets an
-    explicit batch row count. The answer is engine-independent (batch
-    execution is bit-identical by construction), so the executor choice is
-    service configuration, not part of the descriptor.
-    """
+def run_embedded(descriptor: QueryDescriptor) -> ProtocolReport:
+    """Execute an embedded-spj descriptor on the hosted Part II engine
+    (the engine's default executor: columnar batches)."""
     query = descriptor.query
     filters = []
     for condition in query.where:
@@ -119,16 +111,9 @@ def run_embedded(
         agg_table, agg_column = tpcd.ROOT_TABLE, None
     rows = descriptor.embedded_rows or DEFAULT_EMBEDDED_ROWS
     with _EMBEDDED_LOCK:
-        db = _embedded_db(rows)
-        previous = db.batch_size
-        if batch_size is not None:
-            db.batch_size = batch_size or None
-        try:
-            result, stats = db.aggregate(
-                filters, (query.aggregate, agg_table, agg_column), group_by
-            )
-        finally:
-            db.batch_size = previous
+        result, _stats = _embedded_db(rows).aggregate(
+            filters, (query.aggregate, agg_table, agg_column), group_by
+        )
     return ProtocolReport(
         result={str(group): value for group, value in result.items()},
         protocol=FAMILY_EMBEDDED,
@@ -199,7 +184,6 @@ def run_query(
     workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     pool: WorkerPool | None = None,
-    embedded_batch_size: int | None = None,
 ) -> ProtocolReport:
     """Run ``descriptor`` once over ``nodes`` — service path and reference.
 
@@ -208,7 +192,7 @@ def run_query(
     a reference re-run needs only the descriptor.
     """
     if descriptor.family == FAMILY_EMBEDDED:
-        return run_embedded(descriptor, batch_size=embedded_batch_size)
+        return run_embedded(descriptor)
     protocol = build_protocol(
         descriptor, fleet, seed, domain,
         workers=workers, shard_size=shard_size, pool=pool,

@@ -1,4 +1,4 @@
-"""The long-lived SSI query service: scheduling, caching, accounting.
+"""The long-lived SSI query service: requests, scheduling, accounting.
 
 Everything before this PR runs a query the way a benchmark does — build the
 population, run one protocol, exit. :class:`SsiQueryService` runs the SSI
@@ -19,6 +19,11 @@ and citizens ``forget()``. Three mechanisms make that safe:
   and served only while the population version is unchanged
   (:class:`~repro.service.cache.ResultCache`).
 
+This module owns the request frames (``QUERY``/``SUBSCRIBE``/``TELEMETRY``:
+one decode → handle → reply function, :meth:`SsiQueryService._answer`) and
+the query scheduler. Deltas belong to :mod:`repro.service.ingest` (queue and
+fold thread) and window state to :mod:`repro.service.standing`.
+
 Latency accounting flows through ``repro.obs``: per-query spans plus
 streaming :class:`~repro.obs.metrics.PercentileHistogram` latency
 (p50/p99/p999) overall and per query class.
@@ -29,17 +34,15 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import time
-from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.crypto.paillier import PaillierPublicKey
 from repro.errors import NetError, ProtocolError, QueryError
-from repro.globalq.continuous import EncryptedDelta, WindowSpec
+from repro.globalq.continuous import WindowSpec
 from repro.globalq.parallel import DEFAULT_SHARD_SIZE, WorkerPool
 from repro.net.codec import (
-    KIND_DELTA,
     KIND_DELTA_BATCH,
     KIND_QUERY,
     KIND_REJECT,
@@ -48,8 +51,6 @@ from repro.net.codec import (
     KIND_TELEMETRY,
     KIND_UPDATE,
     Frame,
-    decode_delta,
-    decode_delta_batch,
     decode_json_payload,
     encode_json_payload,
 )
@@ -57,6 +58,7 @@ from repro.obs import telemetry as obs_telemetry
 from repro.service.admission import AdmissionController, Overloaded
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.descriptor import QueryDescriptor, derive_seed
+from repro.service.ingest import IngestPipeline
 from repro.service.population import PopulationSnapshot, ServicePopulation
 from repro.service.reference import run_query
 from repro.service.standing import StandingRegistry
@@ -85,10 +87,6 @@ class ServiceConfig:
     record_snapshots: bool = False
     #: Optional persistent process pool shared across executions.
     pool: WorkerPool | None = None
-    #: Executor for embedded-spj queries: None = engine default (columnar
-    #: batches), 0 = legacy tuple-at-a-time, N = explicit batch row count.
-    #: Never part of the descriptor — both executors answer identically.
-    embedded_batch_size: int | None = None
     #: Queued deltas (across all subscriptions) before ingest shedding.
     ingest_queue_depth: int = 4096
     #: Max deltas folded per ingest batch (one executor round trip).
@@ -136,42 +134,23 @@ class QueryTicket:
     trace: obs_telemetry.TraceContext | None = None
 
 
-class _IngestQueue:
-    """Bounded per-subscription delta queues with round-robin fairness.
-
-    One deque per subscription, drained one delta per subscription per
-    rotation — a PDS storm against one subscription cannot starve the
-    others, the exact fairness discipline the admission controller applies
-    to query classes. The bound is global (total queued deltas): overflow
-    raises a typed :class:`Overloaded` so the wire layer sheds with the
-    same vocabulary as query admission. Pure data structure — all calls
-    happen on the event-loop thread.
-    """
-
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        self.size = 0
-        self._queues: OrderedDict[int, deque] = OrderedDict()
-
-    def push(self, sub_id: int, delta: EncryptedDelta) -> None:
-        if self.size >= self.depth:
-            raise Overloaded("ingest", queued=self.size, limit=self.depth)
-        queue = self._queues.get(sub_id)
-        if queue is None:
-            queue = self._queues[sub_id] = deque()
-        queue.append(delta)
-        self.size += 1
-
-    def pop_batch(self, limit: int) -> list[tuple[int, EncryptedDelta]]:
-        """Up to ``limit`` deltas, one per subscription per rotation."""
-        out: list[tuple[int, EncryptedDelta]] = []
-        while self._queues and len(out) < limit:
-            sub_id, queue = self._queues.popitem(last=False)
-            out.append((sub_id, queue.popleft()))
-            self.size -= 1
-            if queue:
-                self._queues[sub_id] = queue  # back of the rotation
-        return out
+def _subscribe_args(request: dict):
+    """Validate a ``SUBSCRIBE`` body — the descriptor dict plus ``window``
+    (width/slide), the querier's modulus ``public_n`` (hex string) and an
+    optional integer ``start``; anything malformed is a QueryError."""
+    descriptor = QueryDescriptor.from_dict(request)
+    spec = WindowSpec.from_dict(request.get("window") or {})
+    start = request.get("start")
+    if start is not None and type(start) is not int:
+        raise QueryError("start must be an integer")
+    try:
+        public_n = int(request.get("public_n"), 16)
+    except (TypeError, ValueError):
+        raise QueryError("public_n must be a hex integer string") from None
+    if public_n < 2:
+        raise QueryError("public_n must be a modulus > 1")
+    public = PaillierPublicKey(n=public_n, n_squared=public_n * public_n)
+    return descriptor, spec, public, start
 
 
 class SsiQueryService:
@@ -211,19 +190,19 @@ class SsiQueryService:
             fold_pool=self.config.pool,
             fold_shard_size=self.config.fold_shard_size,
         )
+        #: The one way a wire delta reaches :attr:`standing`.
+        self.ingest = IngestPipeline(
+            self.standing,
+            self.registry,
+            depth=self.config.ingest_queue_depth,
+            batch_max=self.config.ingest_batch_max,
+            telemetry=telemetry,
+        )
         self.registry.register_stats("service.admission", self.admission.stats)
         self.registry.register_stats("service.cache", self.cache.stats)
         self._workers: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
         self._running = False
-        # Ingest pipeline: deltas queue here off the reader loop and fold
-        # in batches on a dedicated executor thread, never on the loop.
-        self._ingest_queue = _IngestQueue(self.config.ingest_queue_depth)
-        self._ingest_pending = 0
-        self._ingest_task: asyncio.Task | None = None
-        self._ingest_executor: ThreadPoolExecutor | None = None
-        self._ingest_event: asyncio.Event | None = None
-        self._ingest_idle: asyncio.Event | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -240,16 +219,7 @@ class SsiQueryService:
             asyncio.ensure_future(self._worker_loop(i))
             for i in range(self.config.max_in_flight)
         ]
-        # One dedicated fold thread: batch folds serialize through the
-        # registry lock anyway, and a separate executor keeps a delta storm
-        # from stealing query-execution threads (and vice versa).
-        self._ingest_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="ssi-ingest"
-        )
-        self._ingest_event = asyncio.Event()
-        self._ingest_idle = asyncio.Event()
-        self._ingest_idle.set()
-        self._ingest_task = asyncio.ensure_future(self._ingest_loop())
+        self.ingest.start()
 
     async def stop(self) -> None:
         if not self._running:
@@ -260,26 +230,15 @@ class SsiQueryService:
                 ticket.future.set_exception(NetError("service stopped"))
         for task in self._workers:
             task.cancel()
-        if self._ingest_task is not None:
-            self._ingest_task.cancel()
         for task in self._workers:
             try:
                 await task
             except asyncio.CancelledError:
                 pass
         self._workers = []
-        if self._ingest_task is not None:
-            try:
-                await self._ingest_task
-            except asyncio.CancelledError:
-                pass
-            self._ingest_task = None
-        if self._ingest_executor is not None:
-            self._ingest_executor.shutdown(wait=True)
-            self._ingest_executor = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        await self.ingest.stop()
+        self._executor.shutdown(wait=True)
+        self._executor = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -307,25 +266,12 @@ class SsiQueryService:
             )
         hit = self.cache.get(descriptor)
         if hit is not None:
-            with obs_telemetry.activate(trace):
-                with obs.span(
-                    "service.cache_hit",
-                    query_class=descriptor.query_class,
-                    version=hit.version,
-                ):
-                    latency = time.perf_counter() - started
-                    served = ServedResult(
-                        descriptor=descriptor,
-                        result=hit.result,
-                        version=hit.version,
-                        seed=hit.seed,
-                        cached=True,
-                        latency_s=latency,
-                        snapshot=hit.snapshot,
-                        stats=hit.stats,
-                    )
-                    self._account(served)
-            return served
+            with obs_telemetry.activate(trace), obs.span(
+                "service.cache_hit",
+                query_class=descriptor.query_class,
+                version=hit.version,
+            ):
+                return self._serve(descriptor, hit, True, started)
         ticket = QueryTicket(
             descriptor=descriptor,
             submitted_at=started,
@@ -398,89 +344,80 @@ class SsiQueryService:
         # sibling worker) between admission and dequeue — re-check.
         hit = self.cache.get(descriptor)
         if hit is not None:
-            served = ServedResult(
-                descriptor=descriptor,
-                result=hit.result,
-                version=hit.version,
-                seed=hit.seed,
-                cached=True,
-                latency_s=time.perf_counter() - ticket.submitted_at,
-                snapshot=hit.snapshot,
-                stats=hit.stats,
-            )
-            self._account(served)
-            return served
+            return self._serve(descriptor, hit, True, ticket.submitted_at)
         snapshot = self.population.snapshot()
         seed = derive_seed(descriptor, snapshot.version, self.config.seed)
         loop = asyncio.get_running_loop()
-        with obs_telemetry.activate(ticket.trace):
-            with obs.span(
-                "service.query",
-                query_class=descriptor.query_class,
-                version=snapshot.version,
-                population=len(snapshot.nodes),
-            ):
-                # Copied *inside* the span so the executor thread inherits
-                # both the open span and the trace context — shard spans
-                # of the collection then nest under service.query.
-                ctx = contextvars.copy_context()
-                report = await loop.run_in_executor(
-                    self._executor,
-                    ctx.run,
-                    run_query,
-                    descriptor,
-                    snapshot.nodes,
-                    self.population.fleet,
-                    seed,
-                    self.config.domain,
-                    self.config.workers,
-                    self.config.shard_size,
-                    self.config.pool,
-                    self.config.embedded_batch_size,
-                )
-        stats = {
-            "num_pds": report.num_pds,
-            "tuples_sent": report.tuples_sent,
-            "token_invocations": report.token_invocations,
-            "comm_bytes": report.comm_bytes,
-        }
+        with obs_telemetry.activate(ticket.trace), obs.span(
+            "service.query",
+            query_class=descriptor.query_class,
+            version=snapshot.version,
+            population=len(snapshot.nodes),
+        ):
+            # Copied *inside* the span so the executor thread inherits
+            # both the open span and the trace context — shard spans
+            # of the collection then nest under service.query.
+            ctx = contextvars.copy_context()
+            report = await loop.run_in_executor(
+                self._executor,
+                ctx.run,
+                run_query,
+                descriptor,
+                snapshot.nodes,
+                self.population.fleet,
+                seed,
+                self.config.domain,
+                self.config.workers,
+                self.config.shard_size,
+                self.config.pool,
+            )
         entry = CacheEntry(
             version=snapshot.version,
             result=report.result,
             seed=seed,
             snapshot=snapshot if self.config.record_snapshots else None,
-            stats=stats,
+            stats={
+                "num_pds": report.num_pds,
+                "tuples_sent": report.tuples_sent,
+                "token_invocations": report.token_invocations,
+                "comm_bytes": report.comm_bytes,
+            },
         )
         self.cache.put(descriptor, entry)
-        served = ServedResult(
-            descriptor=descriptor,
-            result=report.result,
-            version=snapshot.version,
-            seed=seed,
-            cached=False,
-            latency_s=time.perf_counter() - ticket.submitted_at,
-            snapshot=entry.snapshot,
-            stats=stats,
-        )
-        self._account(served)
-        return served
+        return self._serve(descriptor, entry, False, ticket.submitted_at)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _account(self, served: ServedResult) -> None:
+    def _serve(
+        self,
+        descriptor: QueryDescriptor,
+        entry: CacheEntry,
+        cached: bool,
+        started: float,
+    ) -> ServedResult:
+        """The answer for ``entry``, latency-stamped and accounted."""
+        served = ServedResult(
+            descriptor=descriptor,
+            result=entry.result,
+            version=entry.version,
+            seed=entry.seed,
+            cached=cached,
+            latency_s=time.perf_counter() - started,
+            snapshot=entry.snapshot,
+            stats=entry.stats,
+        )
         latency_ms = served.latency_s * 1000.0
         self.registry.counter("service.completed").inc()
-        if served.cached:
+        if cached:
             self.registry.counter("service.cache_hits_served").inc()
         self.registry.percentiles("service.latency_ms").observe(latency_ms)
         self.registry.percentiles(
-            f"service.latency_ms.{served.descriptor.query_class}"
+            f"service.latency_ms.{descriptor.query_class}"
         ).observe(latency_ms)
         if self.telemetry is not None:
-            self.telemetry.observe_latency(
-                served.descriptor.query_class, latency_ms
-            )
+            self.telemetry.observe_latency(descriptor.query_class, latency_ms)
+        return served
 
     def metrics_snapshot(self) -> dict:
         return self.registry.snapshot()
@@ -500,364 +437,138 @@ class SsiQueryService:
     # Wire front-end
     # ------------------------------------------------------------------
     async def serve_endpoint(self, endpoint) -> None:
-        """Answer ``QUERY`` frames arriving on a bus endpoint.
+        """Serve the frames arriving on a bus endpoint until cancelled.
 
-        Payloads are canonical JSON: a query is ``{"request_id", the
-        descriptor fields}``; the reply is a ``RESULT`` (answer + version +
-        provenance) or a ``REJECT`` carrying the typed overload fields.
-        Each request is dispatched as its own task — the receive loop never
-        blocks on an execution, so wire queriers genuinely contend for the
-        scheduler (and overflow genuinely sheds). Runs until cancelled —
-        the demo and tests wrap it in a task.
+        ``DELTA_BATCH`` frames are fire-and-forget: offered to the ingest
+        pipeline inline (poison frames count immediately), folded off the
+        loop. ``QUERY``/``SUBSCRIBE``/``TELEMETRY`` frames are requests,
+        each answered by its own :meth:`_answer` task — the receive loop
+        never blocks on an execution, so wire queriers genuinely contend
+        for the scheduler (and overflow genuinely sheds). Other kinds are
+        ignored. The demo and tests wrap this in a task.
         """
         dispatched: set[asyncio.Task] = set()
         seq = 0
         try:
             while True:
                 frame = await endpoint.recv()
-                if frame.kind == KIND_TELEMETRY:
+                if frame.kind == KIND_DELTA_BATCH:
+                    self.ingest.offer(frame.payload)
+                elif frame.kind in self._HANDLERS:
                     seq += 1
                     task = asyncio.ensure_future(
-                        self._answer_telemetry(endpoint, frame, seq)
+                        self._answer(endpoint, frame, seq)
                     )
-                elif frame.kind == KIND_QUERY:
-                    seq += 1
-                    task = asyncio.ensure_future(
-                        self._answer_frame(endpoint, frame, seq)
-                    )
-                elif frame.kind == KIND_SUBSCRIBE:
-                    seq += 1
-                    task = asyncio.ensure_future(
-                        self._answer_subscribe(endpoint, frame, seq)
-                    )
-                elif frame.kind == KIND_DELTA:
-                    # Fire-and-forget: decode inline (poison frames count
-                    # immediately), fold off-loop via the ingest queue.
-                    self._ingest_delta(frame)
-                    continue
-                elif frame.kind == KIND_DELTA_BATCH:
-                    self._ingest_delta_batch(frame)
-                    continue
-                else:
-                    continue
-                dispatched.add(task)
-                task.add_done_callback(dispatched.discard)
+                    dispatched.add(task)
+                    task.add_done_callback(dispatched.discard)
         finally:
             for task in dispatched:
                 task.cancel()
 
-    async def _answer_telemetry(self, endpoint, frame: Frame, seq: int) -> None:
-        request = decode_json_payload(frame.payload) if frame.payload else {}
-        reply = Frame(
-            kind=KIND_TELEMETRY,
-            sender=endpoint.name,
-            seq=seq,
-            payload=encode_json_payload(
-                {
-                    "request_id": request.get("request_id"),
-                    **self.telemetry_snapshot(),
-                }
-            ),
-        )
-        await endpoint.send(frame.sender, reply)
+    async def _answer(self, endpoint, frame: Frame, seq: int) -> None:
+        """Decode, handle and reply to one request frame.
 
-    async def _answer_frame(self, endpoint, frame: Frame, seq: int) -> None:
-        """Answer one ``QUERY`` frame: always exactly one reply.
-
-        ``RESULT`` on success, else a ``REJECT`` whose ``error`` says why:
-        ``overloaded`` (shed, with the typed admission fields),
-        ``bad_request`` (payload or descriptor does not parse) or
-        ``failed`` (the execution raised). A poison frame or a crashed
-        execution never leaves the querier waiting or the endpoint down.
+        Always exactly one reply, whatever the kind: the handler's
+        (canonical JSON echoing ``request_id``), else a ``REJECT`` whose
+        ``error`` says why — ``overloaded`` (shed, with the typed admission
+        fields), ``bad_request`` (the payload or a field of it does not
+        parse) or ``failed`` (the handler raised) — and ``detail`` the
+        reason. A poison frame or a crashed execution never leaves the
+        requester waiting or the endpoint down.
         """
-
-        async def reject(request_id, error: str, trace=None, **fields):
-            payload = {"request_id": request_id, "error": error, **fields}
-            await endpoint.send(
-                frame.sender,
-                Frame(
-                    kind=KIND_REJECT,
-                    sender=endpoint.name,
-                    seq=seq,
-                    payload=encode_json_payload(payload),
-                    trace=trace,
-                ),
-            )
-
-        try:
-            request = decode_json_payload(frame.payload)
-        except ProtocolError as exc:
-            self.registry.counter("service.query.rejected").inc()
-            await reject(None, "bad_request", detail=str(exc))
-            return
-        request_id = request.get("request_id")
-        # The frame's trace context links this span under the querier's
-        # sending span; the child context handed to submit() then links
+        request_id = trace = None
+        # The frame's trace context links this span under the requester's
+        # sending span; the child context handed to the handler then links
         # admission/execution under this one.
-        with obs_telemetry.activate(frame.trace):
-            with obs.span(
-                "service.frame",
-                kind=frame.kind_name,
-                sender=frame.sender,
-                request_id=request_id,
-            ) as frame_span:
-                child = None
-                if frame.trace is not None:
-                    child = frame.trace.child(frame_span.span_id)
-                try:
-                    descriptor = QueryDescriptor.from_dict(request)
-                    served = await self.submit(descriptor, trace=child)
-                except Overloaded as exc:
-                    await reject(
-                        request_id,
-                        "overloaded",
-                        child,
-                        query_class=exc.query_class,
-                        queued=exc.queued,
-                        limit=exc.limit,
-                    )
-                    return
-                except QueryError as exc:
-                    self.registry.counter("service.query.rejected").inc()
-                    await reject(
-                        request_id, "bad_request", child, detail=str(exc)
-                    )
-                    return
-                except Exception as exc:  # the endpoint must keep answering
-                    self.registry.counter("service.query.failed").inc()
-                    obs.event(
-                        "service.query.failed",
-                        request_id=request_id,
-                        error=repr(exc),
-                    )
-                    await reject(
-                        request_id, "failed", child, detail=repr(exc)
-                    )
-                    return
-                reply = Frame(
-                    kind=KIND_RESULT,
-                    sender=endpoint.name,
-                    seq=seq,
-                    payload=encode_json_payload(
-                        {
-                            "request_id": request_id,
-                            "result": served.result,
-                            "version": served.version,
-                            "seed": served.seed,
-                            "cached": served.cached,
-                            "latency_ms": served.latency_s * 1000.0,
-                        }
-                    ),
-                    trace=child,
+        with obs_telemetry.activate(frame.trace), obs.span(
+            "service.frame", kind=frame.kind_name, sender=frame.sender
+        ) as frame_span:
+            if frame.trace is not None:
+                trace = frame.trace.child(frame_span.span_id)
+            kind = KIND_REJECT  # unless the handler answers
+            try:
+                request = decode_json_payload(frame.payload or b"{}")
+                request_id = request.get("request_id")
+                frame_span.set(request_id=request_id)
+                kind, body = await self._HANDLERS[frame.kind](
+                    self, request, frame.sender, trace
                 )
-                await endpoint.send(frame.sender, reply)
-
-    # ------------------------------------------------------------------
-    # Standing queries over the wire
-    # ------------------------------------------------------------------
-    async def _answer_subscribe(self, endpoint, frame: Frame, seq: int) -> None:
-        """Register a standing query from a ``SUBSCRIBE`` frame.
-
-        The payload is the canonical descriptor dict plus ``window``
-        (width/slide), the querier's public modulus ``public_n`` (hex) and
-        an optional ``start``. Wire subscriptions are wire-fed: the PDSs
-        push their own ``DELTA`` frames, the service only folds. The reply
-        echoes the subscription id and the population version, or a
-        ``REJECT`` with the validation error.
-        """
-        request = decode_json_payload(frame.payload)
-        request_id = request.get("request_id")
-        try:
-            descriptor = QueryDescriptor.from_dict(request)
-            spec = WindowSpec.from_dict(request.get("window") or {})
-            public_n = int(request["public_n"], 16)
-            public = PaillierPublicKey(n=public_n, n_squared=public_n * public_n)
-            sub = self.standing.subscribe(
-                descriptor,
-                spec,
-                public,
-                start=request.get("start"),
-                requester=frame.sender,
-                local_source=bool(request.get("local_source", False)),
-            )
-        except (KeyError, ValueError, QueryError, ProtocolError) as exc:
+            except Overloaded as exc:
+                body = {
+                    "error": "overloaded",
+                    "detail": str(exc),
+                    "query_class": exc.query_class,
+                    "queued": exc.queued,
+                    "limit": exc.limit,
+                }
+            except (QueryError, ProtocolError) as exc:
+                self.registry.counter("service.query.rejected").inc()
+                body = {"error": "bad_request", "detail": str(exc)}
+            except Exception as exc:  # the endpoint must keep answering
+                self.registry.counter("service.query.failed").inc()
+                obs.event(
+                    "service.query.failed",
+                    request_id=request_id,
+                    error=repr(exc),
+                )
+                body = {"error": "failed", "detail": repr(exc)}
             reply = Frame(
-                kind=KIND_REJECT,
+                kind=kind,
                 sender=endpoint.name,
                 seq=seq,
                 payload=encode_json_payload(
-                    {"request_id": request_id, "error": str(exc)}
+                    {"request_id": request_id, **body}
                 ),
+                trace=trace,
             )
             await endpoint.send(frame.sender, reply)
-            return
+
+    async def _handle_query(self, request: dict, sender: str, trace):
+        served = await self.submit(
+            QueryDescriptor.from_dict(request), trace=trace
+        )
+        return KIND_RESULT, {
+            "result": served.result,
+            "version": served.version,
+            "seed": served.seed,
+            "cached": served.cached,
+            "latency_ms": served.latency_s * 1000.0,
+        }
+
+    async def _handle_subscribe(self, request: dict, sender: str, trace):
+        """Register a standing query; the ack echoes the subscription id.
+        Wire-fed unless it asks for ``local_source``: the PDSs push their
+        own ``DELTA_BATCH`` frames, the service only folds."""
+        descriptor, spec, public, start = _subscribe_args(request)
+        sub = self.standing.subscribe(
+            descriptor,
+            spec,
+            public,
+            start=start,
+            requester=sender,
+            local_source=bool(request.get("local_source", False)),
+        )
         self.registry.counter("service.subscriptions").inc()
-        reply = Frame(
-            kind=KIND_SUBSCRIBE,
-            sender=endpoint.name,
-            seq=seq,
-            payload=encode_json_payload(
-                {
-                    "request_id": request_id,
-                    "subscription": sub.sub_id,
-                    "version": self.population.version,
-                    "start": sub.start,
-                    "window": sub.spec.to_dict(),
-                }
-            ),
-        )
-        await endpoint.send(frame.sender, reply)
+        return KIND_SUBSCRIBE, {
+            "subscription": sub.sub_id,
+            "version": self.population.version,
+            "start": sub.start,
+            "window": sub.spec.to_dict(),
+        }
+
+    async def _handle_telemetry(self, request: dict, sender: str, trace):
+        return KIND_TELEMETRY, self.telemetry_snapshot()
+
+    #: Request kind -> handler returning ``(reply kind, reply body)``.
+    _HANDLERS = {
+        KIND_QUERY: _handle_query,
+        KIND_SUBSCRIBE: _handle_subscribe,
+        KIND_TELEMETRY: _handle_telemetry,
+    }
 
     # ------------------------------------------------------------------
-    # Delta ingest pipeline
+    # Standing-query publication
     # ------------------------------------------------------------------
-    def _reject_delta_frame(self) -> None:
-        """One malformed/poison delta frame: counted, never fatal.
-
-        Any decode failure lands here — not just :class:`ProtocolError`
-        but anything a hostile payload can throw — so a poison frame can
-        never tear down ``serve_endpoint``'s reader loop. Both names
-        count: ``globalq.delta.rejected`` (the delta family's tally) and
-        ``service.delta.rejected`` (the service-level guard).
-        """
-        self.registry.counter("globalq.delta.rejected").inc()
-        self.registry.counter("service.delta.rejected").inc()
-
-    def ingest_frame(self, frame: Frame) -> None:
-        """Feed one ``DELTA``/``DELTA_BATCH`` frame into the ingest
-        pipeline — the reader loop's dispatch, callable directly by
-        in-process drivers (the delta storm bench, demos)."""
-        if frame.kind == KIND_DELTA_BATCH:
-            self._ingest_delta_batch(frame)
-        elif frame.kind == KIND_DELTA:
-            self._ingest_delta(frame)
-        else:
-            raise ProtocolError(f"not a delta frame: {frame.kind_name}")
-
-    def _ingest_delta(self, frame: Frame) -> None:
-        """Queue one wire ``DELTA`` frame; malformed frames are counted."""
-        try:
-            entry = decode_delta(frame.payload)
-        except Exception:
-            self._reject_delta_frame()
-            return
-        self._enqueue_deltas([entry])
-
-    def _ingest_delta_batch(self, frame: Frame) -> None:
-        """Queue one ``DELTA_BATCH`` frame's worth of deltas."""
-        try:
-            entries = decode_delta_batch(frame.payload)
-        except Exception:
-            self._reject_delta_frame()
-            return
-        self.registry.histogram("globalq.ingest.frame_batch").observe(
-            len(entries)
-        )
-        self._enqueue_deltas(entries)
-
-    def _enqueue_deltas(self, entries) -> None:
-        """Push decoded deltas onto the bounded ingest queue (or fold
-        inline when the service isn't running its ingest worker)."""
-        if self._ingest_task is None:
-            # No worker (service not started): legacy synchronous fold so
-            # direct registry-style use keeps working.
-            for sub_id, delta in entries:
-                try:
-                    self.standing.ingest(sub_id, delta)
-                except ProtocolError:
-                    self._reject_delta_frame()
-            return
-        accepted = 0
-        for sub_id, delta in entries:
-            try:
-                self._ingest_queue.push(sub_id, delta)
-            except Overloaded as exc:
-                self._account_ingest_shed(exc)
-            else:
-                accepted += 1
-        if accepted:
-            self._ingest_pending += accepted
-            self._ingest_idle.clear()
-            self._ingest_event.set()
-            self.registry.gauge("globalq.ingest.queue_depth").max(
-                self._ingest_queue.size
-            )
-
-    def _account_ingest_shed(self, exc: Overloaded) -> None:
-        self.registry.counter("globalq.ingest.shed").inc()
-        obs.event(
-            "globalq.ingest.shed",
-            queued=exc.queued,
-            limit=exc.limit,
-        )
-        if self.telemetry is not None:
-            self.telemetry.recorder.trigger(
-                "ingest_overloaded",
-                queued=exc.queued,
-                limit=exc.limit,
-            )
-
-    async def _ingest_loop(self) -> None:
-        """Drain the ingest queue in batches on the ingest executor.
-
-        The fold itself (big-int multiplication, possibly sharded onto the
-        worker pool) runs on the dedicated ingest thread — the event loop
-        only pops the queue and does the accounting, so a delta storm
-        cannot stall frame receive or query scheduling.
-        """
-        tracer = obs.get_tracer()
-        if tracer is not None:
-            tracer.label_current_track("ssi-ingest")
-        loop = asyncio.get_running_loop()
-        while True:
-            await self._ingest_event.wait()
-            self._ingest_event.clear()
-            while self._ingest_queue.size:
-                batch = self._ingest_queue.pop_batch(
-                    self.config.ingest_batch_max
-                )
-                started = time.perf_counter()
-                try:
-                    folded, rejected = await loop.run_in_executor(
-                        self._ingest_executor,
-                        self.standing.ingest_many,
-                        batch,
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception:  # surface in metrics, never die
-                    folded, rejected = 0, len(batch)
-                    self.registry.counter("service.errors").inc()
-                elapsed = time.perf_counter() - started
-                self._ingest_pending -= len(batch)
-                self._account_ingest(len(batch), folded, rejected, elapsed)
-            if self._ingest_pending == 0:
-                self._ingest_idle.set()
-
-    def _account_ingest(
-        self, batch: int, folded: int, rejected: int, elapsed: float
-    ) -> None:
-        self.registry.counter("globalq.ingest.deltas").inc(batch)
-        if folded:
-            self.registry.counter("globalq.ingest.folded").inc(folded)
-        if rejected:
-            self.registry.counter("globalq.ingest.rejected").inc(rejected)
-        self.registry.histogram("globalq.ingest.batch_size").observe(batch)
-        self.registry.percentiles("globalq.ingest.fold_ms").observe(
-            elapsed * 1000.0
-        )
-        if elapsed > 0:
-            self.registry.gauge("globalq.ingest.deltas_per_s").set(
-                round(batch / elapsed, 1)
-            )
-
-    async def drain_ingest(self) -> None:
-        """Wait until every queued delta has folded (publication barrier)."""
-        if self._ingest_task is None or self._ingest_idle is None:
-            return
-        if self._ingest_pending:
-            await self._ingest_idle.wait()
-
     async def publish_windows(self, now: int, endpoint=None) -> int:
         """Advance simulated time; push ``UPDATE`` frames to subscribers.
 
@@ -866,9 +577,9 @@ class SsiQueryService:
         control payload — the querier, the only key holder, decrypts).
         Returns the number of updates published. Queued ingest drains
         first: a pane must never seal under a delta that already arrived
-        (it would turn into a late-delta protocol error on fold).
+        (it would be dropped as late on fold).
         """
-        await self.drain_ingest()
+        await self.ingest.drain()
         published = self.standing.advance(now)
         sent = 0
         for sub_id, updates in published.items():

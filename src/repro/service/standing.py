@@ -23,9 +23,12 @@ Subscriptions come in two flavours:
 * **local** — the registry owns a :class:`DeltaEmitter` and computes deltas
   from the population's plaintext nodes (the in-process simulation, where
   the registry plays every PDS's token);
-* **wire-fed** — deltas arrive as ``DELTA`` frames from real PDS endpoints
-  (:meth:`ingest`); the registry only folds ciphertexts and cannot see
-  plaintext at all, which is the deployment story.
+* **wire-fed** — deltas arrive in ``DELTA_BATCH`` frames from real PDS
+  endpoints (:meth:`ingest_many`); the registry only folds ciphertexts and
+  cannot see plaintext at all, which is the deployment story.
+
+Either way a delta reaches its pane through :meth:`StandingRegistry._fold_group`:
+bootstrap, population event and wire batch differ only in the group's size.
 """
 
 from __future__ import annotations
@@ -156,10 +159,11 @@ class StandingRegistry:
         """Register a standing query; bootstraps from the online population.
 
         The bootstrap is itself a delta stream: one ``Enc(contribution)``
-        per online PDS at ``start`` (their previous contribution was 0), so
-        the very first sealed window already equals full recollection.
-        Wire-fed subscriptions (``local_source=False``) skip it — their
-        PDSs push their own bootstrap deltas as ``DELTA`` frames.
+        per online PDS at ``start`` (their previous contribution was 0),
+        folded as one pane product, so the very first sealed window already
+        equals full recollection. Wire-fed subscriptions
+        (``local_source=False``) skip it — their PDSs push their own
+        bootstrap deltas in ``DELTA_BATCH`` frames.
         """
         self._validate(descriptor)
         if start is None:
@@ -198,11 +202,14 @@ class StandingRegistry:
                 subscription=sub.sub_id,
                 population=len(self.population),
                 start=start,
-            ):
-                for node in self.population.online_nodes():
-                    delta = emitter.refresh(node, True, start)
-                    if delta is not None:
-                        self._fold(sub, delta)
+            ), self._lock:
+                deltas = [
+                    emitter.refresh(node, True, start)
+                    for node in self.population.online_nodes()
+                ]
+                self._fold_group(
+                    sub, [d for d in deltas if d is not None], None
+                )
         self.registry.gauge("globalq.delta.subscriptions").set(len(self._subs))
         return sub
 
@@ -213,19 +220,44 @@ class StandingRegistry:
     # ------------------------------------------------------------------
     # The delta stream
     # ------------------------------------------------------------------
-    def _fold(self, sub: StandingSubscription, delta: EncryptedDelta) -> bool:
-        with self._lock:
-            folded = sub.standing.fold(delta)
-            size = delta.ciphertext_bytes(sub.standing.state.n_squared)
-            sub.deltas_emitted += 1
-            sub.delta_bytes += size
-            self.registry.counter("globalq.delta.emitted").inc()
-            self.registry.counter("globalq.delta.bytes").inc(size)
-            if folded:
-                self.registry.counter("globalq.delta.folded").inc()
-            else:
-                self.registry.counter("globalq.delta.duplicates").inc()
-            return folded
+    def _fold_group(
+        self,
+        sub: StandingSubscription,
+        deltas: list[EncryptedDelta],
+        floor: int | None,
+    ) -> tuple[int, int]:
+        """Fold one subscription's deltas as a group (caller holds the lock).
+
+        The single fold-and-account path: admission (replay rejection,
+        pane assignment) stays serial, each pane's ciphertext product goes
+        through the subscription's sharded
+        :class:`~repro.globalq.continuous.FoldEngine`. Deltas for a sealed
+        pane are dropped and counted instead of raising, so one late delta
+        cannot sink its batchmates. A fold raises the cache's version floor
+        for the descriptor to ``floor`` (None at subscribe time: no cached
+        answer predates the group). Returns ``(folded, rejected)``;
+        replays count in neither (``globalq.delta.duplicates`` has them).
+        """
+        state = sub.standing.state
+        fresh = [d for d in deltas if d.timestamp >= state.advanced_to]
+        rejected = len(deltas) - len(fresh)
+        if not fresh:
+            return 0, rejected
+        duplicates_before = state.duplicates
+        folded = sub.standing.fold_many(fresh, engine=sub.engine)
+        size = sum(d.ciphertext_bytes(state.n_squared) for d in fresh)
+        sub.deltas_emitted += len(fresh)
+        sub.delta_bytes += size
+        self.registry.counter("globalq.delta.emitted").inc(len(fresh))
+        self.registry.counter("globalq.delta.bytes").inc(size)
+        if folded:
+            self.registry.counter("globalq.delta.folded").inc(folded)
+        duplicates = state.duplicates - duplicates_before
+        if duplicates:
+            self.registry.counter("globalq.delta.duplicates").inc(duplicates)
+        if folded and floor is not None and self.cache is not None:
+            self.cache.note_delta(sub.key, floor)
+        return folded, rejected
 
     def _on_population_event(
         self, event: str, pds_id: int, version: int
@@ -245,41 +277,19 @@ class StandingRegistry:
                 if sub.emitter is None:
                     continue
                 delta = sub.emitter.refresh(node, online, self.clock.now)
-                if delta is None:
-                    continue
-                self._fold(sub, delta)
-                if self.cache is not None:
-                    self.cache.note_delta(sub.key, version)
-
-    def ingest(self, sub_id: int, delta: EncryptedDelta) -> bool:
-        """Fold a wire-fed delta (a decoded ``DELTA`` frame payload).
-
-        The delta outruns the service's membership mirror — no local
-        population event accompanies it — so the cache floor is raised
-        *above* the current version: recollection answers for this
-        descriptor stop being cacheable until the population itself moves.
-        """
-        with self._lock:
-            sub = self.subscription(sub_id)
-            folded = self._fold(sub, delta)
-            if folded and self.cache is not None:
-                self.cache.note_delta(sub.key, self.population.version + 1)
-            return folded
+                if delta is not None:
+                    self._fold_group(sub, [delta], version)
 
     def ingest_many(self, entries) -> tuple[int, int]:
         """Fold a batch of wire-fed ``(subscription_id, delta)`` pairs.
 
-        The decoded payload of one ``DELTA_BATCH`` frame (or a drained
-        ingest-queue batch). Deltas are grouped per subscription and folded
-        through the subscription's sharded
-        :class:`~repro.globalq.continuous.FoldEngine` — admission (replay
-        rejection, pane assignment) stays serial under the lock, only the
-        ciphertext products parallelize. Unlike :meth:`ingest`, the batch
-        path is tolerant: entries for unknown subscriptions or sealed
-        panes are dropped and counted instead of raising, so one poison
-        delta cannot sink its batchmates. Returns ``(folded, rejected)``;
-        replayed duplicates count in neither (they are tallied under
-        ``globalq.delta.duplicates`` as usual).
+        A drained ingest-queue batch, grouped per subscription; entries
+        for unknown subscriptions are dropped and counted like late ones.
+        A wire delta outruns the service's membership mirror — no local
+        population event accompanies it — so the cache floor is raised
+        *above* the current version: recollection answers for the
+        descriptor stop being cacheable until the population itself moves.
+        Returns ``(folded, rejected)`` summed over the groups.
         """
         with self._lock:
             groups: dict[int, list[EncryptedDelta]] = {}
@@ -289,43 +299,14 @@ class StandingRegistry:
                     rejected += 1
                     continue
                 groups.setdefault(sub_id, []).append(delta)
-            folded_total = 0
+            folded = 0
             for sub_id, deltas in groups.items():
-                sub = self._subs[sub_id]
-                state = sub.standing.state
-                fresh = [
-                    delta
-                    for delta in deltas
-                    if delta.timestamp >= state.advanced_to
-                ]
-                rejected += len(deltas) - len(fresh)
-                if not fresh:
-                    continue
-                duplicates_before = state.duplicates
-                folded = sub.standing.fold_many(fresh, engine=sub.engine)
-                size = sum(
-                    delta.ciphertext_bytes(state.n_squared)
-                    for delta in fresh
+                group_folded, group_rejected = self._fold_group(
+                    self._subs[sub_id], deltas, self.population.version + 1
                 )
-                sub.deltas_emitted += len(fresh)
-                sub.delta_bytes += size
-                self.registry.counter("globalq.delta.emitted").inc(
-                    len(fresh)
-                )
-                self.registry.counter("globalq.delta.bytes").inc(size)
-                if folded:
-                    self.registry.counter("globalq.delta.folded").inc(folded)
-                duplicates = state.duplicates - duplicates_before
-                if duplicates:
-                    self.registry.counter("globalq.delta.duplicates").inc(
-                        duplicates
-                    )
-                if folded and self.cache is not None:
-                    self.cache.note_delta(
-                        sub.key, self.population.version + 1
-                    )
-                folded_total += folded
-            return folded_total, rejected
+                folded += group_folded
+                rejected += group_rejected
+            return folded, rejected
 
     # ------------------------------------------------------------------
     # Window sealing

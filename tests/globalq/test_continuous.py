@@ -30,7 +30,12 @@ from repro.globalq.continuous import (
     update_from_wire,
 )
 from repro.globalq.queries import AggregateQuery
-from repro.net.codec import decode_delta, encode_delta
+from repro.net.codec import (
+    decode_delta,
+    decode_delta_batch,
+    encode_delta,
+    encode_delta_batch,
+)
 from repro.service.population import slim_population
 from repro.service.standing import StandingRegistry
 from repro.workloads.people import PersonRecord
@@ -79,7 +84,7 @@ class TestWindowSpec:
         )
 
     def test_malformed_wire_forms_rejected(self):
-        for data in ({}, {"width": "wide"}, {"width": 4, "slide": "x"}):
+        for data in ({}, {"width": "wide"}, {"width": 4, "slide": "x"}, [1]):
             with pytest.raises(QueryError, match="malformed window spec"):
                 WindowSpec.from_dict(data)
 
@@ -242,16 +247,20 @@ class TestDeltaCodec:
         pop = slim_population(1)
         delta = emitter.refresh(pop.node(0), True, 7)
         encoded = encode_delta(12, delta)
-        sub_id, decoded = decode_delta(encoded)
-        assert sub_id == 12
-        assert decoded == delta
+        assert decode_delta(encoded) == (12, delta)
+        # On the wire a lone delta is a one-entry DELTA_BATCH payload.
+        batch = encode_delta_batch([(12, delta)])
+        assert batch.endswith(encoded)
+        assert decode_delta_batch(batch) == [(12, delta)]
 
     def test_truncated_payload_raises(self):
         emitter = DeltaEmitter(PUBLIC, SUM_SALARY, seed=19)
         pop = slim_population(1)
-        encoded = encode_delta(1, emitter.refresh(pop.node(0), True, 0))
+        delta = emitter.refresh(pop.node(0), True, 0)
         with pytest.raises(ProtocolError):
-            decode_delta(encoded[:-3])
+            decode_delta(encode_delta(1, delta)[:-3])
+        with pytest.raises(ProtocolError):
+            decode_delta_batch(encode_delta_batch([(1, delta)])[:-3])
 
     def test_update_payload_round_trips(self):
         emitter = DeltaEmitter(PUBLIC, SUM_SALARY, seed=23)

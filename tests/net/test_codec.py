@@ -41,13 +41,20 @@ class TestFrame:
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_standing_kinds_preserve_the_trace_block(self):
-        """SUBSCRIBE/DELTA/UPDATE frames round-trip as v2 traced frames —
-        the delta stream joins distributed traces like any other traffic."""
-        from repro.net.codec import KIND_DELTA, KIND_SUBSCRIBE, KIND_UPDATE
+        """SUBSCRIBE/DELTA_BATCH/UPDATE frames round-trip as v2 traced
+        frames — the delta stream joins distributed traces like any other
+        traffic."""
+        from repro.net.codec import (
+            KIND_DELTA_BATCH,
+            KIND_SUBSCRIBE,
+            KIND_UPDATE,
+        )
         from repro.obs.telemetry import TraceContext
 
+        # Retiring kind 15 must not have moved its neighbours' bytes.
+        assert (KIND_SUBSCRIBE, KIND_UPDATE, KIND_DELTA_BATCH) == (14, 16, 17)
         context = TraceContext(trace_id=77, parent_span_id=5, sampled=True)
-        for kind in (KIND_SUBSCRIBE, KIND_DELTA, KIND_UPDATE):
+        for kind in (KIND_SUBSCRIBE, KIND_DELTA_BATCH, KIND_UPDATE):
             frame = Frame(kind, "pds-1", 9, b"\x01\x02", trace=context)
             decoded = decode_frame(encode_frame(frame))
             assert decoded.kind == kind
@@ -75,8 +82,9 @@ class TestFrame:
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_unknown_kind_rejected_on_encode(self):
-        with pytest.raises(ProtocolError, match="unknown frame kind"):
-            encode_frame(Frame(99, "a", 0))
+        for kind in (99, 15):  # 15: the retired one-delta kind, unassigned
+            with pytest.raises(ProtocolError, match="unknown frame kind"):
+                encode_frame(Frame(kind, "a", 0))
 
     def test_oversized_sender_rejected(self):
         with pytest.raises(ProtocolError, match="sender"):
@@ -100,9 +108,10 @@ class TestFrame:
 
     def test_unknown_kind_rejected_on_decode(self):
         data = bytearray(encode_frame(Frame(KIND_ACK, "a", 1)))
-        data[2] = 77
-        with pytest.raises(ProtocolError, match="unknown frame kind"):
-            decode_frame(bytes(data))
+        for kind in (77, 15):
+            data[2] = kind
+            with pytest.raises(ProtocolError, match="unknown frame kind"):
+                decode_frame(bytes(data))
 
     def test_length_mismatch(self):
         data = encode_frame(Frame(KIND_ACK, "a", 1, b"xy"))

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     PERCENTILE_GROWTH,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     PercentileHistogram,
     global_registry,
@@ -35,16 +34,6 @@ class TestInstruments:
         gauge.max(12)
         assert gauge.value == 12
 
-    def test_histogram_summary(self):
-        histogram = Histogram(bounds=(1, 4, 16))
-        for value in (0, 2, 3, 100):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert summary["count"] == 4
-        assert summary["min"] == 0 and summary["max"] == 100
-        assert summary["buckets"] == {"le_1": 1, "le_4": 2, "inf": 1}
-        assert summary["mean"] == pytest.approx(105 / 4)
-
     def test_get_or_create_and_type_conflict(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
@@ -55,7 +44,7 @@ class TestInstruments:
         registry = MetricsRegistry()
         registry.counter("queries").inc(3)
         registry.gauge("ram").set(64)
-        registry.histogram("lat").observe(2)
+        registry.percentiles("lat").observe(2)
         snapshot = registry.snapshot()
         assert snapshot["queries"] == 3
         assert snapshot["ram"] == 64
@@ -234,6 +223,10 @@ class TestPercentileHistogram:
         snapshot = registry.snapshot()
         assert snapshot["svc.latency"]["count"] == 3
         assert snapshot["svc.latency"]["p50"] <= snapshot["svc.latency"]["p99"]
+        # The running summary obs.top reads for batch sizes.
+        assert snapshot["svc.latency"]["min"] == 1.0
+        assert snapshot["svc.latency"]["max"] == 100.0
+        assert snapshot["svc.latency"]["mean"] == pytest.approx(103 / 3)
 
     def test_registry_rejects_kind_mismatch(self):
         registry = MetricsRegistry()

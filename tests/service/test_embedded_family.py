@@ -1,8 +1,8 @@
 """The embedded-spj family: Part II aggregates served by the SSI service.
 
 The family routes a descriptor to the service-hosted columnar engine
-instead of a population protocol. The contract under test: the answer is
-executor-independent (batch vs legacy), reproducible via the same
+instead of a population protocol. The contract under test: the answer
+equals the tuple-at-a-time reference engine's, is reproducible via the same
 ``run_query`` reference path as every other family, and the descriptor
 round-trips through its canonical form.
 """
@@ -14,6 +14,8 @@ import pytest
 
 from repro.errors import QueryError
 from repro.globalq.queries import AggregateQuery
+from repro.hardware.token import SecurePortableToken
+from repro.relational.query import EmbeddedDatabase
 from repro.service import (
     FAMILY_EMBEDDED,
     QueryDescriptor,
@@ -24,6 +26,8 @@ from repro.service import (
     run_query,
     slim_population,
 )
+from repro.service import reference
+from repro.workloads import tpcd
 
 #: Small hosted database: keeps the get-or-build registry cheap in tests.
 ROWS = 400
@@ -34,13 +38,22 @@ def run(coro):
 
 
 class TestEmbeddedRunner:
-    def test_batch_and_legacy_executors_answer_identically(self):
-        """Executor choice is configuration: answers must be bit-identical."""
+    def test_batch_and_legacy_executors_answer_identically(self, monkeypatch):
+        """The hosted engine runs columnar batches; the tuple-at-a-time
+        engine over the same data is the reference it must match."""
+        legacy_db = EmbeddedDatabase(
+            SecurePortableToken(),
+            tpcd.tpcd_schema(),
+            tpcd.ROOT_TABLE,
+            batch_size=0,
+        )
+        tpcd.load(legacy_db, tpcd.generate(ROWS, seed=31))
         for descriptor in embedded_mix(ROWS).descriptors():
             batch = run_embedded(descriptor)
-            legacy = run_embedded(descriptor, batch_size=0)
-            explicit = run_embedded(descriptor, batch_size=16)
-            assert batch.result == legacy.result == explicit.result
+            with monkeypatch.context() as patch:
+                patch.setitem(reference._EMBEDDED_DBS, ROWS, legacy_db)
+                legacy = run_embedded(descriptor)
+            assert batch.result == legacy.result
             assert batch.protocol == FAMILY_EMBEDDED
             assert batch.num_pds == 1
             assert batch.tuples_sent == 0  # nothing leaves the token
@@ -109,17 +122,3 @@ class TestServiceIntegration:
             assert result.descriptor.family == FAMILY_EMBEDDED
             reference = run_embedded(result.descriptor)
             assert reference.result == result.result
-
-    def test_service_engine_config_does_not_change_answers(self):
-        batch_served = self._serve(
-            ServiceConfig(max_in_flight=2, cache_capacity=0)
-        )
-        legacy_served = self._serve(
-            ServiceConfig(
-                max_in_flight=2, cache_capacity=0, embedded_batch_size=0
-            )
-        )
-        key = lambda r: r.descriptor.canonical()
-        batch_by_key = {key(r): r.result for r in batch_served}
-        for result in legacy_served:
-            assert batch_by_key[key(result)] == result.result

@@ -16,14 +16,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.errors import NetError
+from repro.errors import NetError, NetTimeout
 from repro.globalq.parallel import WorkerPool
 from repro.globalq.queries import AggregateQuery
 from repro.net.bus import MessageBus
 from repro.net.codec import (
+    KIND_NAMES,
     KIND_QUERY,
     KIND_REJECT,
     KIND_RESULT,
+    KIND_SUBSCRIBE,
+    KIND_TELEMETRY,
     Frame,
     decode_json_payload,
     encode_json_payload,
@@ -301,20 +304,63 @@ class TestWireFrontend:
         assert body["limit"] == 0
 
 
+SUBSCRIBE_BODY = dict(
+    COUNT.to_dict(), window={"width": 2}, public_n=f"{(1 << 64) + 13:x}",
+    start=0,
+)
+
+#: A well-formed payload per request kind and the reply kind it earns.
+GOOD = {
+    KIND_QUERY: (dict(COUNT.to_dict(), request_id="good"), KIND_RESULT),
+    KIND_SUBSCRIBE: (dict(SUBSCRIBE_BODY, request_id="good"), KIND_SUBSCRIBE),
+    KIND_TELEMETRY: ({"request_id": "good"}, KIND_TELEMETRY),
+}
+
+#: (request kind, poison payload, request id the REJECT echoes, a fragment
+#: of its detail). Garbage bytes and non-object JSON for every kind; then
+#: each field a handler reads, wrong-typed (TELEMETRY reads none).
+POISON = [
+    (kind, payload, None, "JSON")
+    for kind in GOOD
+    for payload in (b"garbage", b"{not json", b"[1, 2]")
+] + [
+    (kind, encode_json_payload(dict(body, request_id=request_id)),
+     request_id, fragment)
+    for request_id, (kind, body, fragment) in enumerate(
+        [
+            (KIND_QUERY, dict(COUNT.to_dict(), family="no-such"), "no-such"),
+            (KIND_QUERY, {"family": FAMILY_SECURE_AGG}, "aggregate"),
+            (KIND_QUERY, dict(COUNT.to_dict(), where=5), "descriptor"),
+            (KIND_SUBSCRIBE, {"family": FAMILY_SECURE_AGG}, "aggregate"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, window=[1]), "window"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, window={"width": "x"}),
+             "window"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, start="x"), "start"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, start=1.5), "start"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, public_n=5), "public_n"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, public_n="zz"), "public_n"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, public_n=None), "public_n"),
+            (KIND_SUBSCRIBE, dict(SUBSCRIBE_BODY, public_n="-5"), "public_n"),
+        ],
+        start=2,
+    )
+]
+
+
 class TestQueryFrameGuard:
-    """Every QUERY frame gets exactly one reply, and the endpoint lives on.
+    """Every request frame gets exactly one reply, and the endpoint lives on.
 
     Regression: only ``Overloaded`` was guarded, so a malformed payload, an
     unknown family or a crashed execution left the querier waiting forever
-    ("Task exception was never retrieved") — while DELTA frames already
-    had a poison guard.
+    ("Task exception was never retrieved") — first for ``QUERY``, then
+    still for ``SUBSCRIBE`` and ``TELEMETRY``, whose handlers decoded
+    outside any guard (and ``"start": "x"`` was accepted).
     """
 
-    GOOD = encode_json_payload(dict(COUNT.to_dict(), request_id="good"))
-
     @staticmethod
-    async def exchange(config, payloads, between=None):
-        """Send ``payloads`` one at a time on one endpoint; the replies."""
+    async def exchange(config, frames, between=None):
+        """Send ``(kind, payload)`` frames one at a time on one endpoint;
+        the replies, with a check that nothing else was sent back."""
         bus = MessageBus()
         ssi = bus.register("ssi")
         querier = bus.register("querier")
@@ -323,53 +369,56 @@ class TestQueryFrameGuard:
         server = asyncio.ensure_future(service.serve_endpoint(ssi))
         replies = []
         try:
-            for seq, payload in enumerate(payloads):
+            for seq, (kind, payload) in enumerate(frames):
                 if between is not None:
                     between(seq)
-                await querier.send(
-                    "ssi", Frame(KIND_QUERY, "querier", seq, payload)
-                )
+                await querier.send("ssi", Frame(kind, "querier", seq, payload))
                 reply = await querier.recv(timeout=30.0)
                 replies.append(
                     (reply.kind, decode_json_payload(reply.payload))
                 )
+            with pytest.raises(NetTimeout):  # exactly one reply each
+                await querier.recv(timeout=0.05)
+            assert not server.done()
         finally:
             server.cancel()
             await service.stop()
         return replies, service.metrics_snapshot()
 
-    def test_poison_frames_are_rejected_and_the_next_query_is_served(self):
-        unknown_family = dict(COUNT.to_dict(), family="no-such", request_id=2)
-        no_aggregate = {"family": FAMILY_SECURE_AGG, "request_id": 3}
+    @pytest.mark.parametrize(
+        "kind, poison, request_id, fragment",
+        POISON,
+        ids=[
+            f"{KIND_NAMES[kind]}-{index}"
+            for index, (kind, *_rest) in enumerate(POISON)
+        ],
+    )
+    def test_poison_frames_are_rejected_and_the_next_query_is_served(
+        self, kind, poison, request_id, fragment
+    ):
+        body, reply_kind = GOOD[kind]
+        good = (kind, encode_json_payload(body))
+        query = (KIND_QUERY, encode_json_payload(GOOD[KIND_QUERY][0]))
         replies, metrics = run(
             self.exchange(
                 ServiceConfig(max_in_flight=1, cache_capacity=0),
-                [
-                    b"{not json",
-                    self.GOOD,
-                    encode_json_payload(unknown_family),
-                    encode_json_payload(no_aggregate),
-                    b"[1, 2]",
-                    self.GOOD,
-                ],
+                [(kind, poison), good, (kind, poison), good, query],
             )
         )
-        kinds = [kind for kind, _ in replies]
-        assert kinds == [
-            KIND_REJECT, KIND_RESULT, KIND_REJECT, KIND_REJECT, KIND_REJECT,
-            KIND_RESULT,
+        assert [reply for reply, _ in replies] == [
+            KIND_REJECT, reply_kind, KIND_REJECT, reply_kind, KIND_RESULT,
         ]
-        rejects = [body for kind, body in replies if kind == KIND_REJECT]
-        assert [body["error"] for body in rejects] == ["bad_request"] * 4
-        assert [body["request_id"] for body in rejects] == [None, 2, 3, None]
-        assert all(body["detail"] for body in rejects)
-        assert "no-such" in rejects[1]["detail"]
-        for kind, body in replies:
-            if kind == KIND_RESULT:
-                assert body["request_id"] == "good"
-                assert body["result"] == {"*": 50.0}
-        assert metrics["service.query.rejected"] == 4
+        for reject in (replies[0][1], replies[2][1]):
+            assert reject["error"] == "bad_request"
+            assert reject["request_id"] == request_id
+            assert fragment in reject["detail"]
+        for _, served in replies[1::2] + replies[4:]:
+            assert served["request_id"] == "good"
+        assert replies[4][1]["result"] == {"*": 50.0}
+        assert metrics["service.query.rejected"] == 2
         assert "service.query.failed" not in metrics
+        if kind == KIND_SUBSCRIBE:
+            assert metrics["service.subscriptions"] == 2
 
     def test_pool_death_fails_one_query_then_the_service_recovers(self):
         with WorkerPool(workers=2) as pool:
@@ -385,7 +434,8 @@ class TestQueryFrameGuard:
                         max_in_flight=1, cache_capacity=0, workers=2,
                         shard_size=16, pool=pool,
                     ),
-                    [self.GOOD] * 3,
+                    [(KIND_QUERY, encode_json_payload(GOOD[KIND_QUERY][0]))]
+                    * 3,
                     between=kill_a_worker,
                 )
             )

@@ -2,9 +2,9 @@
 
 Covers the two service-side seams of the delta-maintenance PR:
 
-* the SUBSCRIBE/DELTA/UPDATE wire path — a querier registers a standing
-  query by frame, PDS deltas fold over the wire, boundary updates come
-  back as frames the querier decrypts;
+* the SUBSCRIBE/DELTA_BATCH/UPDATE wire path — a querier registers a
+  standing query by frame, PDS deltas fold over the wire, boundary updates
+  come back as frames the querier decrypts;
 * the satellite-2 regression — a ``forget()`` landing between a worker's
   dequeue-time cache re-check and its ``put()`` must not let a cached
   result be served (or inserted) for a version a subscriber already saw a
@@ -21,6 +21,7 @@ from repro.crypto.paillier import generate_keypair
 from repro.globalq.continuous import (
     DeltaBatcher,
     DeltaEmitter,
+    StandingAggregate,
     StandingView,
     WindowSpec,
     recollect,
@@ -29,13 +30,11 @@ from repro.globalq.continuous import (
 from repro.globalq.queries import AggregateQuery
 from repro.net.bus import MessageBus
 from repro.net.codec import (
-    KIND_DELTA,
     KIND_DELTA_BATCH,
     KIND_SUBSCRIBE,
     KIND_UPDATE,
     Frame,
     decode_json_payload,
-    encode_delta,
     encode_delta_batch,
     encode_json_payload,
 )
@@ -53,6 +52,13 @@ from repro.service.standing import StandingRegistry
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def delta_frame(seq, sub_id, delta):
+    """One delta on the wire: a one-entry ``DELTA_BATCH`` frame."""
+    return Frame(
+        KIND_DELTA_BATCH, "pds-0", seq, encode_delta_batch([(sub_id, delta)])
+    )
 
 
 PUBLIC, PRIVATE = generate_keypair(bits=128, rng=random.Random(99))
@@ -94,7 +100,7 @@ class TestRegistryCoherence:
         )
         emitter = DeltaEmitter(PUBLIC, COUNT.query, seed=1)
         delta = emitter.refresh(population.node(0), True, 0)
-        registry.ingest(sub.sub_id, delta)
+        assert registry.ingest_many([(sub.sub_id, delta)]) == (1, 0)
         # The floor is now version+1: an entry at the *current* version is
         # still refused, because the subscriber's view is already ahead.
         entry = CacheEntry(
@@ -162,6 +168,72 @@ class TestRegistryCoherence:
                 assert served.result.get("*", 0.0) == float(folded)
 
 
+class TestGroupedFold:
+    """Bootstrap, population events and wire batches share one fold path."""
+
+    def test_grouped_bootstrap_equals_folding_one_delta_at_a_time(self):
+        spec = WindowSpec(width=4, slide=2)
+        population = slim_population(40)
+        population.set_online(3, False)
+        # shard size 8: the bootstrap group splits into several shards.
+        registry = StandingRegistry(population, fold_shard_size=8)
+        sub = registry.subscribe(SUM, spec, PUBLIC, emitter_seed=9)
+        # The reference: the same emitter stream through the one-at-a-time
+        # StandingAggregate.fold, no grouping, no engine.
+        emitter = DeltaEmitter(PUBLIC, SUM.query, seed=9)
+        reference = StandingAggregate(PUBLIC.n, spec)
+        online = list(population.online_nodes())
+        for node in online:
+            assert reference.fold(emitter.refresh(node, True, 0))
+        assert sub.standing.current() == reference.current()
+        # One group, accounted like a wire batch of the same size.
+        assert sub.deltas_emitted == len(online) == 39
+        counter = registry.registry.counter
+        assert counter("globalq.delta.folded").value == len(online)
+        assert counter("globalq.delta.emitted").value == len(online)
+        # A population event is a group of one through the same function.
+        population.forget(5)
+        assert reference.fold(
+            emitter.refresh(population.node(5), population.is_online(5), 0)
+        )
+        assert sub.standing.current() == reference.current()
+        assert counter("globalq.delta.folded").value == len(online) + 1
+        (published,) = registry.advance(2)[sub.sub_id]
+        (expected,) = reference.advance(2)
+        assert (published.live_value, published.live_count) == (
+            expected.live_value, expected.live_count
+        )
+        assert (published.window_value, published.window_count) == (
+            expected.window_value, expected.window_count
+        )
+        assert PRIVATE.decrypt_signed(published.live_value) == recollect(
+            population.online_nodes(), SUM.query
+        )[0]
+
+    def test_ingest_many_drops_unknown_and_late_entries(self):
+        """The batch path never raises on one bad entry: unknown
+        subscriptions and sealed-pane deltas count as rejected, replays as
+        duplicates, and the rest of the batch folds."""
+        population = slim_population(6)
+        registry = StandingRegistry(population)
+        sub = registry.subscribe(
+            COUNT, WindowSpec(width=2), PUBLIC, local_source=False
+        )
+        emitter = DeltaEmitter(PUBLIC, COUNT.query, seed=1)
+        first = emitter.refresh(population.node(0), True, 0)
+        assert registry.ingest_many([(sub.sub_id, first)]) == (1, 0)
+        registry.advance(2)
+        late = emitter.refresh(population.node(1), True, 1)
+        good = emitter.refresh(population.node(2), True, 2)
+        assert registry.ingest_many(
+            [(99, good), (sub.sub_id, late), (sub.sub_id, good),
+             (sub.sub_id, good)]
+        ) == (1, 2)
+        counter = registry.registry.counter
+        assert counter("globalq.delta.duplicates").value == 1
+        assert PRIVATE.decrypt_signed(sub.standing.current()[1]) == 2
+
+
 class TestWireStandingPath:
     def test_subscribe_delta_update_round_trip(self):
         async def scenario():
@@ -194,8 +266,7 @@ class TestWireStandingPath:
             for node in population.online_nodes():
                 delta = emitter.refresh(node, True, 0)
                 await pds.send(
-                    "ssi",
-                    Frame(KIND_DELTA, "pds-0", delta.pds_id, encode_delta(sub_id, delta)),
+                    "ssi", delta_frame(delta.pds_id, sub_id, delta)
                 )
             await asyncio.sleep(0.05)  # let the receive loop drain
             sent = await service.publish_windows(2, endpoint=ssi)
@@ -338,13 +409,10 @@ class TestWireStandingPath:
             # so everything past the bound must shed.
             for node in population.online_nodes():
                 delta = emitter.refresh(node, True, 0)
-                frame = Frame(
-                    KIND_DELTA, "pds-0", delta.pds_id,
-                    encode_delta(sub.sub_id, delta),
-                )
-                service.ingest_frame(frame)
+                frame = delta_frame(delta.pds_id, sub.sub_id, delta)
+                service.ingest.offer(frame.payload)
                 offered += 1
-            await service.drain_ingest()
+            await service.ingest.drain()
             registry = service.registry
             folded = registry.counter("globalq.ingest.folded").value
             shed = registry.counter("globalq.ingest.shed").value
@@ -365,7 +433,9 @@ class TestWireStandingPath:
             service = SsiQueryService(slim_population(5), ServiceConfig())
             service.start()
             server = asyncio.ensure_future(service.serve_endpoint(ssi))
-            await pds.send("ssi", Frame(KIND_DELTA, "pds-0", 1, b"garbage"))
+            await pds.send(
+                "ssi", Frame(KIND_DELTA_BATCH, "pds-0", 1, b"garbage")
+            )
             await asyncio.sleep(0.05)
             rejected = service.registry.counter("globalq.delta.rejected").value
             server.cancel()
@@ -379,9 +449,9 @@ class TestWireStandingPath:
         assert run(scenario()) == 1
 
     def test_poison_frame_does_not_tear_down_the_endpoint(self):
-        """Satellite regression: malformed DELTA and DELTA_BATCH payloads
-        count under service.delta.rejected and the reader loop survives —
-        a good delta sent *after* the poison still folds."""
+        """Satellite regression: a truncated entry and a garbage payload
+        both count under service.delta.rejected and the reader loop
+        survives — a good delta sent *after* the poison still folds."""
 
         async def scenario():
             bus = MessageBus()
@@ -395,18 +465,18 @@ class TestWireStandingPath:
             service.start()
             server = asyncio.ensure_future(service.serve_endpoint(ssi))
 
-            await pds.send("ssi", Frame(KIND_DELTA, "pds-0", 1, b"\x00" * 7))
+            emitter = DeltaEmitter(PUBLIC, COUNT.query, seed=4)
+            delta = emitter.refresh(population.node(0), True, 0)
+            good = delta_frame(3, sub.sub_id, delta)
+            await pds.send(
+                "ssi", Frame(KIND_DELTA_BATCH, "pds-0", 1, good.payload[:-3])
+            )
             await pds.send(
                 "ssi", Frame(KIND_DELTA_BATCH, "pds-0", 2, b"\x02garbage")
             )
-            emitter = DeltaEmitter(PUBLIC, COUNT.query, seed=4)
-            delta = emitter.refresh(population.node(0), True, 0)
-            await pds.send(
-                "ssi",
-                Frame(KIND_DELTA, "pds-0", 3, encode_delta(sub.sub_id, delta)),
-            )
+            await pds.send("ssi", good)
             await asyncio.sleep(0.05)
-            await service.drain_ingest()
+            await service.ingest.drain()
             rejected = service.registry.counter(
                 "service.delta.rejected"
             ).value
