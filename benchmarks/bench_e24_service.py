@@ -6,18 +6,20 @@ Claims under test (Issue 6's acceptance criteria):
   query's aggregate is bit-identical to the one-shot batch driver re-run
   over the (snapshot, seed) the service recorded for it — scheduling,
   caching and churn cannot perturb an answer;
-* an open-loop Poisson sweep over arrival rate × worker count × cache size
-  exhibits a measurable saturation knee: below it goodput tracks offered
-  load, above it queues fill and admission control sheds with the typed
-  ``Overloaded`` rejection;
+* an open-loop Poisson sweep over arrival rate × cache size exhibits a
+  measurable saturation knee: below it goodput tracks offered load, above
+  it queues fill and admission control sheds with the typed ``Overloaded``
+  rejection;
 * the version-exact result cache moves the knee to higher rates at equal
   answers (hits are byte-identical replays, never approximations).
 
-Row meaning: one row per sweep cell — offered rate (q/s), scheduler width
-(``in_flight``), cache capacity, offered/completed/shed counts, goodput
-(q/s), latency p50/p99/p999 (ms), cache hits, and whether every unique
-computed answer verified bit-identically. ``meta`` carries the knee per
-(in_flight, cache) configuration and the persistent-pool reuse timing.
+Row meaning: one row per sweep cell — offered rate (q/s), cache capacity,
+offered/completed/shed counts, goodput (q/s), latency p50/p99/p999 (ms),
+cache hits, and whether every unique computed answer verified
+bit-identically. ``meta`` carries the knee per cache configuration and the
+persistent-pool reuse timing. The service is a single-executor system, so
+there is no scheduler-width axis (the last ``in_flight`` sweep is kept in
+EXPERIMENTS.md).
 
 ``SERVICE_SMOKE=1`` (the CI job) runs the same sweep at tiny sizes, like
 ``BENCH_SMOKE``.
@@ -66,7 +68,6 @@ def parameters() -> dict:
         return {
             "population": 240,
             "rates": [4.0, 16.0],
-            "in_flight": [1, 2],
             "caches": [0, 8],
             "duration_s": 0.5,
             "churn_sample": 3,
@@ -77,7 +78,6 @@ def parameters() -> dict:
     return {
         "population": 4000,
         "rates": [1.0, 2.0, 4.0, 8.0, 16.0],
-        "in_flight": [1, 4],
         "caches": [0, 16],
         "duration_s": 2.0,
         "churn_sample": 4,
@@ -90,7 +90,6 @@ def parameters() -> dict:
 async def run_cell(
     population_size: int,
     rate: float,
-    in_flight: int,
     cache_capacity: int,
     duration_s: float,
     churn_sample: int,
@@ -100,7 +99,6 @@ async def run_cell(
     service = SsiQueryService(
         population,
         ServiceConfig(
-            max_in_flight=in_flight,
             max_queue_depth=16,
             cache_capacity=cache_capacity,
             record_snapshots=True,
@@ -110,7 +108,9 @@ async def run_cell(
     churn = MembershipChurn(
         population,
         ChurnModel(offline_fraction=0.25, mean_online=1.5),
-        rng=random.Random(int(rate * 100) + in_flight),
+        # The churn streams of the retired in_flight=1 cells, so the table
+        # stays comparable with the sweep kept in EXPERIMENTS.md.
+        rng=random.Random(int(rate * 100) + 1),
         sample=churn_sample,
     )
     churn.start()
@@ -159,56 +159,44 @@ def verify_bit_identity(population, service, report) -> tuple[int, bool]:
 
 def sweep(experiment: Experiment) -> None:
     params = parameters()
-    reports_by_config: dict[tuple[int, int], list] = {}
-    for in_flight in params["in_flight"]:
-        for cache_capacity in params["caches"]:
-            for rate in params["rates"]:
-                start = time.perf_counter()
-                population, service, report = asyncio.run(
-                    run_cell(
-                        params["population"],
-                        rate,
-                        in_flight,
-                        cache_capacity,
-                        params["duration_s"],
-                        params["churn_sample"],
-                    )
-                )
-                wall_s = time.perf_counter() - start
-                verified, exact = verify_bit_identity(
-                    population, service, report
-                )
-                summary = report.latency_ms.summary()
-                experiment.add_row(
+    knees = {}
+    for cache_capacity in params["caches"]:
+        reports = []
+        for rate in params["rates"]:
+            start = time.perf_counter()
+            population, service, report = asyncio.run(
+                run_cell(
+                    params["population"],
                     rate,
-                    in_flight,
                     cache_capacity,
-                    report.offered,
-                    report.completed,
-                    report.shed,
-                    round(report.goodput, 2),
-                    round(summary["p50"], 1),
-                    round(summary["p99"], 1),
-                    round(summary["p999"], 1),
-                    report.cache_hits,
-                    verified,
-                    exact,
-                    "-",
+                    params["duration_s"],
+                    params["churn_sample"],
                 )
-                record_wall_clock(
-                    experiment,
-                    f"cell_r{rate:g}_w{in_flight}_c{cache_capacity}",
-                    wall_s,
-                )
-                reports_by_config.setdefault(
-                    (in_flight, cache_capacity), []
-                ).append(report)
-    experiment.meta["knees"] = {
-        f"in_flight={in_flight},cache={cache}": find_knee(
-            reports, KNEE_THRESHOLD
-        )
-        for (in_flight, cache), reports in reports_by_config.items()
-    }
+            )
+            wall_s = time.perf_counter() - start
+            verified, exact = verify_bit_identity(population, service, report)
+            summary = report.latency_ms.summary()
+            experiment.add_row(
+                rate,
+                cache_capacity,
+                report.offered,
+                report.completed,
+                report.shed,
+                round(report.goodput, 2),
+                round(summary["p50"], 1),
+                round(summary["p99"], 1),
+                round(summary["p999"], 1),
+                report.cache_hits,
+                verified,
+                exact,
+                "-",
+            )
+            record_wall_clock(
+                experiment, f"cell_r{rate:g}_c{cache_capacity}", wall_s
+            )
+            reports.append(report)
+        knees[f"cache={cache_capacity}"] = find_knee(reports, KNEE_THRESHOLD)
+    experiment.meta["knees"] = knees
 
 
 async def run_embedded_cell(rate: float, duration_s: float, rows: int):
@@ -222,10 +210,7 @@ async def run_embedded_cell(rate: float, duration_s: float, rows: int):
     service = SsiQueryService(
         population,
         ServiceConfig(
-            max_in_flight=2,
-            max_queue_depth=16,
-            cache_capacity=0,
-            record_snapshots=True,
+            max_queue_depth=16, cache_capacity=0, record_snapshots=True
         ),
     )
     service.start()
@@ -273,7 +258,6 @@ def embedded_sweep(experiment: Experiment) -> None:
         summary = report.latency_ms.summary()
         experiment.add_row(
             rate,
-            2,
             0,
             report.offered,
             report.completed,
@@ -339,9 +323,9 @@ def build_experiment() -> Experiment:
         "load locates a saturation knee and the version-exact cache "
         "moves it to higher rates",
         columns=[
-            "rate_qps", "in_flight", "cache", "offered", "completed",
-            "shed", "goodput_qps", "p50_ms", "p99_ms", "p999_ms",
-            "cache_hits", "verified", "exact", "engine",
+            "rate_qps", "cache", "offered", "completed", "shed",
+            "goodput_qps", "p50_ms", "p99_ms", "p999_ms", "cache_hits",
+            "verified", "exact", "engine",
         ],
     )
     experiment.meta["smoke_mode"] = service_smoke()
@@ -360,8 +344,7 @@ def test_e24_service(benchmark):
     # reproduced bit-identically by the batch driver.
     assert all(experiment.column("exact"))
     assert all(v > 0 for v in experiment.column("verified"))
-    # Saturation is observable: the highest-rate uncached narrow config
-    # sheds, and each configuration reports a knee.
+    # Saturation is observable: each cache configuration reports a knee.
     knees = experiment.meta["knees"]
     assert knees
     for knee in knees.values():
@@ -370,28 +353,21 @@ def test_e24_service(benchmark):
     # engine sustains embedded-spj load past 8 q/s.
     embedded_knees = experiment.meta["embedded_knees"]
     assert embedded_knees["batch"]["knee_rate_qps"] > 8.0
-    protocol_rows = [row for row in experiment.rows if row[13] == "-"]
+    protocol_rows = [row for row in experiment.rows if row[12] == "-"]
     if not service_smoke():
         # Past the knee the service sheds rather than queueing unboundedly.
         shed_total = sum(experiment.column("shed"))
         assert shed_total > 0
-        # The cache lifts goodput at the top offered rate (same in_flight).
+        # The cache lifts goodput at the top offered rate.
         top = max(row[0] for row in protocol_rows)
-        def goodput(cache):
-            return max(
-                row[6]
-                for row in protocol_rows
-                if row[0] == top and row[2] == cache
-            )
-        assert goodput(16) > goodput(0)
+        goodput = {row[1]: row[5] for row in protocol_rows if row[0] == top}
+        assert goodput[16] > goodput[0]
 
     # pytest-benchmark hook: one served query end to end (tiny population).
     def one_query():
         async def body():
             population = slim_population(60)
-            service = SsiQueryService(
-                population, ServiceConfig(max_in_flight=1)
-            )
+            service = SsiQueryService(population)
             service.start()
             served = await service.submit(standard_mix().descriptors()[1])
             await service.stop()

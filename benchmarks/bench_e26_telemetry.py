@@ -91,7 +91,7 @@ async def run_paired(rate: float, queries: int, population_size: int):
     from repro import obs
 
     config = dict(
-        max_in_flight=2, max_queue_depth=64, cache_capacity=0, seed=5
+        max_queue_depth=64, cache_capacity=0, seed=5
     )
     bundle = Telemetry(sample_rate=rate)
     bundle.install()
@@ -275,7 +275,7 @@ async def run_burst(dump_dir: Path):
     with Telemetry(sample_rate=1.0, dump_dir=dump_dir) as bundle:
         service = SsiQueryService(
             slim_population(64),
-            ServiceConfig(max_in_flight=1, max_queue_depth=1, cache_capacity=0),
+            ServiceConfig(max_queue_depth=1, cache_capacity=0),
             telemetry=bundle,
         )
         service.start()

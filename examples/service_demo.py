@@ -103,7 +103,6 @@ async def main() -> None:
     service = SsiQueryService(
         population,
         ServiceConfig(
-            max_in_flight=2,
             max_queue_depth=4,
             cache_capacity=8,
             record_snapshots=True,

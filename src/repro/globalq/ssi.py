@@ -30,14 +30,6 @@ class SsiBehavior:
     duplicate_fraction: float = 0.0
     forge_count: int = 0
 
-    @property
-    def is_honest(self) -> bool:
-        return (
-            self.drop_fraction == 0.0
-            and self.duplicate_fraction == 0.0
-            and self.forge_count == 0
-        )
-
 
 HONEST = SsiBehavior()
 

@@ -28,10 +28,6 @@ class HardwareProfile:
     flash_cost: FlashCostModel
     tamper_resistant: bool
 
-    @property
-    def flash_capacity_bytes(self) -> int:
-        return self.flash_geometry.capacity_bytes
-
 
 def smart_usb_token() -> HardwareProfile:
     """Smart USB token (Eurosmart-style): secure MCU + 8 GB-class NAND.

@@ -200,7 +200,7 @@ async def _demo(refreshes: int = 3) -> None:
     with Telemetry(sample_rate=1.0) as telemetry:
         service = SsiQueryService(
             population,
-            ServiceConfig(max_in_flight=2, max_queue_depth=8),
+            ServiceConfig(max_queue_depth=8),
             telemetry=telemetry,
         )
         service.start()

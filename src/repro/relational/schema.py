@@ -87,10 +87,6 @@ class TableSchema:
     def column(self, name: str) -> Column:
         return self.columns[self.column_index(name)]
 
-    @property
-    def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
-
 
 class SchemaGraph:
     """All tables of a database plus the foreign-key graph between them."""
@@ -116,9 +112,6 @@ class SchemaGraph:
             return self.tables[name]
         except KeyError:
             raise QueryError(f"unknown table {name!r}") from None
-
-    def parents_of(self, name: str) -> list[ForeignKey]:
-        return list(self.table(name).foreign_keys)
 
     def ancestry_paths(self, root: str) -> dict[str, list[ForeignKey]]:
         """FK path from ``root`` to every reachable ancestor table.

@@ -118,10 +118,6 @@ class SortedKeyIndex:
         """Tree levels above the sorted leaves."""
         return len(self.levels)
 
-    @property
-    def leaf_pages(self) -> int:
-        return len(self.sorted_log)
-
     def lookup(self, value) -> list[int]:
         """Rowids for ``value``: root-to-leaf descent + duplicate-run scan."""
         key_bytes = encode_key(value)
@@ -234,12 +230,6 @@ class SortedKeyIndex:
         return rowids, True
 
     # ------------------------------------------------------------------
-    def iter_entries(self):
-        """Yield every ``(key_bytes, rowid)`` in ascending key order."""
-        for position in range(len(self.sorted_log)):
-            for record in self.sorted_log.read_records(position):
-                yield unpack_entry(record)
-
     def iter_range(self, low, high):
         """Yield ``(value-encoded key, rowid)`` with ``low <= key <= high``."""
         low_bytes, high_bytes = encode_key(low), encode_key(high)

@@ -107,33 +107,6 @@ class TableStorage:
                 out[name].append(page_columns[position][slot])
         return out
 
-    def scan_columns(self, columns: list[str]) -> Iterator[tuple[int, dict]]:
-        """Columnar full scan: ``(first_rowid, {column: [values...]})`` per page.
-
-        Reads the same data pages as :meth:`scan` (one access each, write
-        buffer included last) but decodes each page once into vectors of
-        just the requested columns — the batch path of summary-scan style
-        predicates.
-        """
-        from repro.relational.tuples import make_column_decoder
-
-        positions = [self.schema.column_index(name) for name in columns]
-        decode = make_column_decoder(self.schema, positions)
-        rowid = 0
-        for position in range(len(self.data.pages)):
-            records = pager.unpack_records(self.data.pages.read_page(position))
-            decoded = decode(records)
-            yield rowid, {
-                name: decoded[pos] for name, pos in zip(columns, positions)
-            }
-            rowid += len(records)
-        buffered = self.data.buffered_records()
-        if buffered:
-            decoded = decode(buffered)
-            yield rowid, {
-                name: decoded[pos] for name, pos in zip(columns, positions)
-            }
-
     def scan_mask(
         self, column: str, value
     ) -> Iterator[tuple[int, list[bool]]]:

@@ -134,9 +134,5 @@ class TselectIndex:
     def entry_count(self) -> int:
         return self._index.entry_count
 
-    @property
-    def last_lookup_pages(self) -> int:
-        return self._index.last_lookup.total_pages
-
     def drop(self) -> None:
         self._index.drop()

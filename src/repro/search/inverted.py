@@ -160,10 +160,6 @@ class SequentialInvertedIndex:
         """Number of indexed documents (the N of the IDF formula)."""
         return self._doc_count
 
-    @property
-    def posting_count(self) -> int:
-        return self.buckets.entry_count
-
     def add_document(self, docid: int, term_weights: dict[str, float]) -> None:
         """Index one document's ``term -> weight`` map.
 
@@ -251,7 +247,3 @@ class SequentialInvertedIndex:
             else:
                 count += decoded[2].count(term_bytes)
         return count
-
-    def chain_pages(self, term: str) -> int:
-        """Flash pages a probe of ``term`` must read (IO cost)."""
-        return self.buckets.chain_length(bucket_of(term, self.num_buckets))

@@ -10,7 +10,9 @@ protocol families in that regime:
 * :class:`~repro.service.population.ServicePopulation` — the shared,
   versioned membership (churn + ``forget()``, snapshot isolation);
 * :class:`~repro.service.server.SsiQueryService` — admission control,
-  fair scheduling, version-exact result caching, latency accounting;
+  fair scheduling onto a single executor (one scheduler loop, one
+  execution thread, one fold thread), version-exact result caching,
+  latency accounting;
 * :class:`~repro.service.loadgen.OpenLoopLoadGenerator` — Poisson traffic
   and the saturation-knee analysis (bench E24);
 * :func:`~repro.service.reference.run_query` — the one-shot batch driver

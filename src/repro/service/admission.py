@@ -2,7 +2,7 @@
 
 An always-on SSI cannot let offered load queue without bound — queue depth
 is latency, and a mailbox that grows forever is how p999 dies. Both things
-the service queues — admitted queries waiting for a worker loop, decoded
+the service queues — admitted queries waiting for the scheduler loop, decoded
 deltas waiting for the fold thread — sit in one structure,
 :class:`FairQueue`: a FIFO per key (query class, subscription id) under one
 *global* bound. An arrival past the bound is shed with a typed
@@ -88,7 +88,8 @@ class AdmissionController:
     query class, with per-class accounting and an awaitable dequeue.
 
     ``max_queue_depth`` bounds admitted-but-waiting queries summed over the
-    classes; the service's ``max_in_flight`` worker loops dequeue them.
+    classes; the service's one scheduler loop dequeues them, so the order
+    tickets leave is the order queries execute.
     """
 
     def __init__(self, max_queue_depth: int) -> None:

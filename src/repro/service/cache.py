@@ -10,8 +10,8 @@ entry's version equals the population's current version, so a served
 aggregate is always the one a fresh batch run over the current membership
 would produce (asserted bit-identically by the tests and bench E24).
 
-Standing subscriptions (PR 10) add a second coherence axis. Executions run
-on worker threads, so a ``forget()`` can land *between* a worker's
+Standing subscriptions (PR 10) add a second coherence axis. An execution
+runs off the event loop, so a ``forget()`` can land *between* the scheduler's
 dequeue-time cache re-check and its ``put()`` — the version comparison
 alone would let that interleaving insert (or serve) an entry for a state a
 subscriber has already seen a delta supersede. Two mechanisms close it:
@@ -97,33 +97,48 @@ class ResultCache:
         return self.capacity > 0
 
     # ------------------------------------------------------------------
-    def get(self, descriptor: QueryDescriptor) -> CacheEntry | None:
-        """The current-version entry for ``descriptor``, or None (miss)."""
+    def get(
+        self, descriptor: QueryDescriptor, recheck: bool = False
+    ) -> CacheEntry | None:
+        """The current-version entry for ``descriptor``, or None (miss).
+
+        ``recheck`` marks the scheduler's second look on behalf of an
+        arrival whose miss is already counted: a second miss is not counted
+        and a hit takes the first one back, so every arrival ends up as
+        exactly one hit or one miss.
+        """
         if not self.enabled:
             return None
         key = descriptor.canonical()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            entry = self._current_entry(key)
+            if entry is not None:
+                self.stats.hits += 1
+                if recheck:
+                    self.stats.misses -= 1
+            elif not recheck:
                 self.stats.misses += 1
-                return None
-            if entry.version != self.population.version:
-                # Defensive: the event listener purges synchronously, so
-                # this only triggers if someone mutated the population
-                # without notifying — still never serve it.
-                del self._entries[key]
-                self.stats.invalidations += 1
-                self.stats.misses += 1
-                return None
-            if entry.version < self._floors.get(key, 0):
-                # A subscriber already folded a delta this entry predates.
-                del self._entries[key]
-                self.stats.coherence_refusals += 1
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
             return entry
+
+    def _current_entry(self, key: str) -> CacheEntry | None:
+        """``key``'s entry if it may be served right now (lock held)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if entry.version != self.population.version:
+            # Defensive: the event listener purges synchronously, so
+            # this only triggers if someone mutated the population
+            # without notifying — still never serve it.
+            del self._entries[key]
+            self.stats.invalidations += 1
+            return None
+        if entry.version < self._floors.get(key, 0):
+            # A subscriber already folded a delta this entry predates.
+            del self._entries[key]
+            self.stats.coherence_refusals += 1
+            return None
+        self._entries.move_to_end(key)
+        return entry
 
     def put(
         self,

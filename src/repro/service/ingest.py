@@ -50,7 +50,7 @@ class IngestPipeline:
     def start(self) -> None:
         # One dedicated fold thread: batch folds serialize through the
         # registry lock anyway, and a separate executor keeps a delta storm
-        # from stealing query-execution threads (and vice versa).
+        # from stealing the query-execution thread (and vice versa).
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="ssi-ingest"
         )

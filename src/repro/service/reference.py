@@ -1,7 +1,7 @@
 """The one-shot batch driver the service's answers are measured against.
 
 :func:`run_query` is *the* execution path: the service calls it from its
-worker threads, and the tests/bench call it again — standalone, later, in
+one execution thread, and the tests/bench call it again — standalone, later, in
 another process if they like — with the recorded (descriptor, snapshot
 nodes, seed) triple. Both calls build the same protocol object with the
 same deterministic rng and the same sharded-collection seed, so the two
@@ -40,8 +40,9 @@ DEFAULT_EMBEDDED_ROWS = 2000
 
 #: Hosted Part II engines, one per lineitem count. An embedded database is
 #: a single token's stateful object (page cache, RAM arena, staging
-#: buffers), so executions serialize on the lock — the service's worker
-#: pool parallelizes *across* protocol families, not inside one token.
+#: buffers), so executions serialize on the lock — the service runs one
+#: query at a time anyway, but tests and benches call ``run_query`` from
+#: threads of their own.
 _EMBEDDED_DBS: dict[int, object] = {}
 _EMBEDDED_LOCK = threading.Lock()
 

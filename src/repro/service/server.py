@@ -9,8 +9,10 @@ and citizens ``forget()``. Three mechanisms make that safe:
 * **admission + scheduling** — arrivals pass the
   :class:`~repro.service.admission.AdmissionController` (bounded queues,
   typed :class:`~repro.service.admission.Overloaded` shedding, round-robin
-  class fairness); exactly ``max_in_flight`` worker loops execute admitted
-  queries on a thread pool, so protocol CPU never blocks the event loop;
+  class fairness); one scheduler loop executes admitted queries one at a
+  time, in fair-queue order, on one dedicated thread, so protocol CPU never
+  blocks the event loop (``run_query`` holds the GIL: a second executor
+  thread only stretches both overlapped queries);
 * **snapshot execution** — each execution freezes the population
   (:meth:`ServicePopulation.snapshot`) and derives its seed from the
   (descriptor, version) pair, so the answer is bit-identical to the one-shot
@@ -69,8 +71,6 @@ from repro.workloads.people import CITIES
 class ServiceConfig:
     """Tuning knobs of one service instance."""
 
-    #: Concurrent executions (worker loops / executor threads).
-    max_in_flight: int = 4
     #: Total admitted-but-waiting queries before shedding.
     max_queue_depth: int = 64
     #: Result-cache entries (0 disables caching).
@@ -97,8 +97,6 @@ class ServiceConfig:
     fold_shard_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if self.ingest_queue_depth < 1:
             raise ValueError("ingest_queue_depth must be >= 1")
         if self.ingest_batch_max < 1:
@@ -125,7 +123,7 @@ class ServedResult:
 
 @dataclass
 class QueryTicket:
-    """One admitted query waiting for a worker loop."""
+    """One admitted query waiting for the scheduler loop."""
 
     descriptor: QueryDescriptor
     submitted_at: float
@@ -200,7 +198,7 @@ class SsiQueryService:
         )
         self.registry.register_stats("service.admission", self.admission.stats)
         self.registry.register_stats("service.cache", self.cache.stats)
-        self._workers: list[asyncio.Task] = []
+        self._scheduler: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._running = False
 
@@ -211,14 +209,12 @@ class SsiQueryService:
         if self._running:
             return
         self._running = True
+        # One execution thread next to the ingest pipeline's one fold
+        # thread: fair-queue order is execution order.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_in_flight,
-            thread_name_prefix="ssi-query",
+            max_workers=1, thread_name_prefix="ssi-query"
         )
-        self._workers = [
-            asyncio.ensure_future(self._worker_loop(i))
-            for i in range(self.config.max_in_flight)
-        ]
+        self._scheduler = asyncio.ensure_future(self._scheduler_loop())
         self.ingest.start()
 
     async def stop(self) -> None:
@@ -228,14 +224,12 @@ class SsiQueryService:
         for ticket in self.admission.drain():
             if not ticket.future.done():
                 ticket.future.set_exception(NetError("service stopped"))
-        for task in self._workers:
-            task.cancel()
-        for task in self._workers:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._workers = []
+        self._scheduler.cancel()
+        try:
+            await self._scheduler
+        except asyncio.CancelledError:
+            pass
+        self._scheduler = None
         await self.ingest.stop()
         self._executor.shutdown(wait=True)
         self._executor = None
@@ -314,12 +308,12 @@ class SsiQueryService:
             )
 
     # ------------------------------------------------------------------
-    # Worker loops
+    # The scheduler loop
     # ------------------------------------------------------------------
-    async def _worker_loop(self, index: int) -> None:
+    async def _scheduler_loop(self) -> None:
         tracer = obs.get_tracer()
         if tracer is not None:
-            tracer.label_current_track(f"ssi-worker-{index}")
+            tracer.label_current_track("ssi-scheduler")
         while True:
             ticket = await self.admission.next_ticket()
             if ticket.future.done():
@@ -340,9 +334,10 @@ class SsiQueryService:
 
     async def _execute(self, ticket: QueryTicket) -> ServedResult:
         descriptor = ticket.descriptor
-        # The population may have changed (and the cache been refilled by a
-        # sibling worker) between admission and dequeue — re-check.
-        hit = self.cache.get(descriptor)
+        # An identical descriptor queued ahead of this one may have filled
+        # the cache since admission — re-check (this is what coalesces
+        # queued duplicates).
+        hit = self.cache.get(descriptor, recheck=True)
         if hit is not None:
             return self._serve(descriptor, hit, True, ticket.submitted_at)
         snapshot = self.population.snapshot()

@@ -67,13 +67,6 @@ class Circuit:
     gates: list[Gate]
     outputs: list[int]
 
-    @property
-    def num_wires(self) -> int:
-        wires = set(self.alice_inputs) | set(self.bob_inputs)
-        for gate in self.gates:
-            wires.update((gate.input_a, gate.input_b, gate.output))
-        return max(wires) + 1 if wires else 0
-
     def evaluate_plain(self, alice_bits: list[int], bob_bits: list[int]) -> list[int]:
         """Cleartext evaluation (the correctness oracle for tests)."""
         values: dict[int, int] = {}

@@ -318,7 +318,6 @@ class TestServiceWireTrace:
                 service = SsiQueryService(
                     population,
                     ServiceConfig(
-                        max_in_flight=1,
                         cache_capacity=0,
                         workers=2,
                         shard_size=8,

@@ -37,9 +37,7 @@ def run(coro):
 
 def make_service(count=80, **overrides):
     population = slim_population(count)
-    defaults = dict(
-        max_in_flight=2, cache_capacity=8, record_snapshots=True
-    )
+    defaults = dict(cache_capacity=8, record_snapshots=True)
     defaults.update(overrides)
     return population, SsiQueryService(population, ServiceConfig(**defaults))
 
@@ -119,6 +117,28 @@ class TestVersionExactness:
                 service.config.domain,
             )
             assert after.result == fresh.result
+
+
+    def test_every_arrival_counts_as_one_hit_or_one_miss(self):
+        """Regression: the scheduler's dequeue-time re-check counted a
+        second miss for every executed query."""
+
+        async def scenario():
+            population, service = make_service(count=40)
+            service.start()
+            descriptors = standard_mix().descriptors()
+            for descriptor in descriptors * 2:  # 4 executed, then 4 hits
+                await service.submit(descriptor)
+            population.forget(3)
+            # Three at once: one executes, its queued twins hit on re-check.
+            await asyncio.gather(*(service.submit(SUM) for _ in range(3)))
+            await service.stop()
+            return service.metrics_snapshot()
+
+        snapshot = run(scenario())
+        assert snapshot["service.arrivals"] == 11
+        assert snapshot["service.cache.hits"] == 6
+        assert snapshot["service.cache.misses"] == 5
 
 
 class TestCacheMechanics:

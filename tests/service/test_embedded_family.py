@@ -115,7 +115,7 @@ class TestServiceIntegration:
 
     def test_service_serves_embedded_queries_reproducibly(self):
         served = self._serve(
-            ServiceConfig(max_in_flight=4, cache_capacity=0)
+            ServiceConfig(cache_capacity=0)
         )
         assert len(served) == 8
         for result in served:

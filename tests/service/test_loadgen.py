@@ -26,9 +26,7 @@ class TestOpenLoop:
             population = slim_population(60)
             service = SsiQueryService(
                 population,
-                ServiceConfig(
-                    max_in_flight=2, cache_capacity=8, record_snapshots=True
-                ),
+                ServiceConfig(cache_capacity=8, record_snapshots=True),
             )
             service.start()
             generator = OpenLoopLoadGenerator(service, standard_mix(), seed=3)
@@ -64,9 +62,7 @@ class TestOpenLoop:
             population = slim_population(150)
             service = SsiQueryService(
                 population,
-                ServiceConfig(
-                    max_in_flight=1, max_queue_depth=2, cache_capacity=0
-                ),
+                ServiceConfig(max_queue_depth=2, cache_capacity=0),
             )
             service.start()
             generator = OpenLoopLoadGenerator(service, standard_mix(), seed=1)

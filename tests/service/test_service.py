@@ -32,6 +32,7 @@ from repro.net.codec import (
     encode_json_payload,
 )
 from repro.net.runtime import ChurnModel
+from repro.obs.telemetry import Telemetry
 from repro.service import (
     MembershipChurn,
     Overloaded,
@@ -62,7 +63,6 @@ class TestAcceptance:
             service = SsiQueryService(
                 population,
                 ServiceConfig(
-                    max_in_flight=4,
                     max_queue_depth=64,
                     cache_capacity=8,
                     record_snapshots=True,
@@ -162,9 +162,7 @@ class TestSchedulerMechanics:
             population = slim_population(120)
             service = SsiQueryService(
                 population,
-                ServiceConfig(
-                    max_in_flight=1, max_queue_depth=2, cache_capacity=0
-                ),
+                ServiceConfig(max_queue_depth=2, cache_capacity=0),
             )
             service.start()
             tasks = [
@@ -178,13 +176,78 @@ class TestSchedulerMechanics:
         service, outcomes = run(scenario())
         shed = [o for o in outcomes if isinstance(o, Overloaded)]
         done = [o for o in outcomes if not isinstance(o, Exception)]
-        # Depth 2 + 1 worker: at most a handful admitted, the rest shed
-        # with the typed rejection.
+        # Depth 2 + the one executor: at most a handful admitted, the rest
+        # shed with the typed rejection.
         assert shed and done
         assert all(exc.limit == 2 for exc in shed)
         assert service.admission.stats.shed == len(shed)
         snapshot = service.metrics_snapshot()
         assert snapshot["service.shed"] == len(shed)
+
+    def test_executions_never_overlap(self):
+        """One executor: the ``service.query`` spans of queries submitted
+        together are pairwise disjoint on the wall clock."""
+
+        async def scenario():
+            with Telemetry(sample_rate=1.0) as bundle:
+                service = SsiQueryService(
+                    slim_population(120),
+                    ServiceConfig(cache_capacity=0),
+                    telemetry=bundle,
+                )
+                service.start()
+                descriptors = standard_mix().descriptors() * 2
+                await asyncio.gather(*map(service.submit, descriptors))
+                await service.stop()
+            return bundle.tracer.spans_named("service.query")
+
+        spans = sorted(run(scenario()), key=lambda span: span.start_us)
+        assert len(spans) == 8
+        for earlier, later in zip(spans, spans[1:]):
+            assert earlier.end_us <= later.start_us
+
+    def test_queued_duplicates_run_one_execution(self):
+        """k identical descriptors submitted at once: one executes, the
+        dequeue-time re-check serves the other k-1 from its entry."""
+
+        async def scenario():
+            service = SsiQueryService(slim_population(120))
+            service.start()
+            served = await asyncio.gather(
+                *(service.submit(COUNT) for _ in range(6))
+            )
+            await service.stop()
+            return service, served
+
+        service, served = run(scenario())
+        assert [r.cached for r in served] == [False] + [True] * 5
+        assert len({(str(r.result), r.version, r.seed) for r in served}) == 1
+        assert service.cache.stats.insertions == 1
+        snapshot = service.metrics_snapshot()
+        assert snapshot["service.cache_hits_served"] == 5
+
+    def test_fair_queue_order_is_execution_order(self):
+        """Queued classes A,A,A,B execute round-robin: A,B,A,A."""
+
+        async def scenario():
+            service = SsiQueryService(
+                slim_population(120), ServiceConfig(cache_capacity=0)
+            )
+            service.start()
+            executed = []
+
+            async def submit(descriptor):
+                await service.submit(descriptor)
+                executed.append(descriptor.query_class)
+
+            a, b = standard_mix().descriptors()[:2]
+            await asyncio.gather(*map(submit, [a, a, a, b]))
+            await service.stop()
+            return [a.query_class, b.query_class], executed
+
+        (a, b), executed = run(scenario())
+        assert a != b
+        assert executed == [a, b, a, a]
 
     def test_submit_requires_running_service(self):
         async def scenario():
@@ -199,7 +262,7 @@ class TestSchedulerMechanics:
             population = slim_population(60)
             service = SsiQueryService(
                 population,
-                ServiceConfig(max_in_flight=1, cache_capacity=0),
+                ServiceConfig(cache_capacity=0),
             )
             service.start()
             tasks = [
@@ -216,9 +279,7 @@ class TestSchedulerMechanics:
     def test_per_class_latency_recorded(self):
         async def scenario():
             population = slim_population(40)
-            service = SsiQueryService(
-                population, ServiceConfig(max_in_flight=2)
-            )
+            service = SsiQueryService(population)
             service.start()
             mix = standard_mix()
             for descriptor in mix.descriptors():
@@ -243,7 +304,7 @@ class TestWireFrontend:
             population = slim_population(50)
             service = SsiQueryService(
                 population,
-                ServiceConfig(max_in_flight=2, record_snapshots=True),
+                ServiceConfig(record_snapshots=True),
             )
             service.start()
             server = asyncio.ensure_future(service.serve_endpoint(ssi))
@@ -276,9 +337,7 @@ class TestWireFrontend:
             population = slim_population(50)
             service = SsiQueryService(
                 population,
-                ServiceConfig(
-                    max_in_flight=1, max_queue_depth=0, cache_capacity=0
-                ),
+                ServiceConfig(max_queue_depth=0, cache_capacity=0),
             )
             service.start()
             server = asyncio.ensure_future(service.serve_endpoint(ssi))
@@ -401,7 +460,7 @@ class TestQueryFrameGuard:
         query = (KIND_QUERY, encode_json_payload(GOOD[KIND_QUERY][0]))
         replies, metrics = run(
             self.exchange(
-                ServiceConfig(max_in_flight=1, cache_capacity=0),
+                ServiceConfig(cache_capacity=0),
                 [(kind, poison), good, (kind, poison), good, query],
             )
         )
@@ -431,7 +490,7 @@ class TestQueryFrameGuard:
             replies, metrics = run(
                 self.exchange(
                     ServiceConfig(
-                        max_in_flight=1, cache_capacity=0, workers=2,
+                        cache_capacity=0, workers=2,
                         shard_size=16, pool=pool,
                     ),
                     [(KIND_QUERY, encode_json_payload(GOOD[KIND_QUERY][0]))]

@@ -1,5 +1,5 @@
 """Service-side telemetry: shed accounting, flight-recorder bundles,
-the TELEMETRY wire endpoint, and worker-loop track names."""
+the TELEMETRY wire endpoint, and the scheduler loop's track name."""
 
 import asyncio
 import json
@@ -54,9 +54,7 @@ class TestOverloadedBurst:
         with Telemetry(sample_rate=1.0, dump_dir=tmp_path) as bundle:
             service = SsiQueryService(
                 make_population(),
-                ServiceConfig(
-                    max_in_flight=1, max_queue_depth=1, cache_capacity=0
-                ),
+                ServiceConfig(max_queue_depth=1, cache_capacity=0),
                 telemetry=bundle,
             )
             service.start()
@@ -113,9 +111,7 @@ class TestOverloadedBurst:
         with Telemetry(sample_rate=0.0) as bundle:
             service = SsiQueryService(
                 make_population(),
-                ServiceConfig(
-                    max_in_flight=1, max_queue_depth=1, cache_capacity=0
-                ),
+                ServiceConfig(max_queue_depth=1, cache_capacity=0),
                 telemetry=bundle,
             )
             service.start()
@@ -141,11 +137,7 @@ class TestTelemetryEndpoint:
 
     async def _round_trip(self):
         with Telemetry(sample_rate=1.0) as bundle:
-            service = SsiQueryService(
-                make_population(),
-                ServiceConfig(max_in_flight=2),
-                telemetry=bundle,
-            )
+            service = SsiQueryService(make_population(), telemetry=bundle)
             service.start()
             bus = MessageBus(rng=random.Random(9))
             server = asyncio.ensure_future(
@@ -169,9 +161,7 @@ class TestTelemetryEndpoint:
         asyncio.run(self._plain())
 
     async def _plain(self):
-        service = SsiQueryService(
-            make_population(), ServiceConfig(max_in_flight=1)
-        )
+        service = SsiQueryService(make_population())
         service.start()
         try:
             await service.submit(DESCRIPTOR)
@@ -184,8 +174,8 @@ class TestTelemetryEndpoint:
         assert "completed=1" in top.render(snapshot)
 
 
-class TestWorkerTrackNames:
-    def test_worker_loops_are_named_perfetto_tracks(self):
+class TestSchedulerTrack:
+    def test_scheduler_loop_is_one_named_track(self):
         asyncio.run(self._run())
 
     async def _run(self):
@@ -194,7 +184,7 @@ class TestWorkerTrackNames:
         with Telemetry(sample_rate=1.0) as bundle:
             service = SsiQueryService(
                 make_population(),
-                ServiceConfig(max_in_flight=2, cache_capacity=0),
+                ServiceConfig(cache_capacity=0),
                 telemetry=bundle,
             )
             service.start()
@@ -204,15 +194,18 @@ class TestWorkerTrackNames:
                 )
             finally:
                 await service.stop()
-        names = set(bundle.tracer.track_names.values())
-        assert "ssi-worker-0" in names
-        document = chrome_trace(bundle.tracer)
+        tracer = bundle.tracer
+        # Every execution sits on the one scheduler loop's track.
+        (track,) = {s.track for s in tracer.spans_named("service.query")}
+        assert tracer.track_names[track] == "ssi-scheduler"
+        assert list(tracer.track_names.values()).count("ssi-scheduler") == 1
+        document = chrome_trace(tracer)
         thread_meta = {
             e["args"]["name"]
             for e in document["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert "ssi-worker-0" in thread_meta
+        assert "ssi-scheduler" in thread_meta
 
 
 class TestLatencySloPath:
@@ -227,7 +220,7 @@ class TestLatencySloPath:
         ) as bundle:
             service = SsiQueryService(
                 make_population(),
-                ServiceConfig(max_in_flight=1, cache_capacity=0),
+                ServiceConfig(cache_capacity=0),
                 telemetry=bundle,
             )
             service.start()

@@ -140,9 +140,7 @@ class TestRegistryCoherence:
             population = slim_population(60)
             service = SsiQueryService(
                 population,
-                ServiceConfig(
-                    max_in_flight=2, cache_capacity=8, record_snapshots=True
-                ),
+                ServiceConfig(cache_capacity=8, record_snapshots=True),
             )
             sub = service.standing.subscribe(SUM, WindowSpec(width=4), PUBLIC)
             service.start()
