@@ -14,7 +14,7 @@ from repro.apps.folkis import FolkNetwork
 from repro.apps.medical import MedicalDeployment
 from repro.apps.trustedcells import EncryptedCloudStore, SensorEvent, TrustedCell
 from repro.bench.harness import Experiment, render_table, run_and_print
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 
 
 def build_medical_experiment() -> Experiment:

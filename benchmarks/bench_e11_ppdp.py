@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import Experiment, render_table, run_and_print
-from repro.globalq.protocol import PdsNode, TokenFleet
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.ppdp.generalize import QuasiIdentifier, age_hierarchy, city_hierarchy
 from repro.ppdp.kanon import anonymize_centralized, anonymize_with_tokens
 from repro.ppdp.metrics import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 import statistics
 
 from repro.apps.dsn import DecentralizedSocialNetwork
-from repro.bench.harness import Experiment, render_table, run_and_print
+from repro.bench.harness import Experiment, run_and_print
 
 
 def build_availability_experiment() -> Experiment:

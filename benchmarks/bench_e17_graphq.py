@@ -18,8 +18,8 @@ from repro.globalq.graphq import (
     centralized_reachability,
     private_reachability,
 )
-from repro.globalq.protocol import TokenFleet
-from repro.smc.parties import Channel
+from repro.globalq.tokens import TokenFleet
+from repro.net.metrics import Channel
 
 
 def make_graph(num_nodes: int, seed: int = 5):

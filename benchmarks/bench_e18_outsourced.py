@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import Experiment, render_table, run_and_print
+from repro.bench.harness import Experiment, run_and_print
 from repro.globalq.attacks import histogram_flatness
 from repro.outsourced.hacigumus import OutsourcedDatabase, RangeBucketMap
 

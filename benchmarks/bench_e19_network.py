@@ -14,9 +14,9 @@ import time
 
 from repro.bench.harness import Experiment, run_and_print
 from repro.globalq.async_protocol import AsyncGlobalQuery
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import WHITE_NOISE, AggregateQuery, NoisePlan
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.net import ChurnModel, LinkProfile
 from repro.workloads.people import CITIES, generate_population
 

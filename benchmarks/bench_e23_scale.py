@@ -31,10 +31,10 @@ from repro.bench.harness import (
     smoke_mode,
 )
 from repro.crypto.paillier import generate_keypair
-from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.globalq.queries import AggregateQuery, plaintext_answer
 from repro.globalq.secureagg import SecureAggregationProtocol
-from repro.smc.parties import Channel
+from repro.globalq.tokens import PdsNode, TokenFleet
+from repro.net.metrics import Channel
 from repro.smc.secure_sum import paillier_secure_sum
 from repro.workloads.people import CITIES, PersonRecord
 

@@ -39,8 +39,8 @@ from repro.bench.harness import (
     smoke_mode,
 )
 from repro.globalq.parallel import ShardedCollector, WorkerPool
-from repro.globalq.protocol import TokenFleet
 from repro.globalq.queries import AggregateQuery
+from repro.globalq.tokens import TokenFleet
 from repro.net.runtime import ChurnModel
 from repro.service import (
     MembershipChurn,

@@ -32,7 +32,6 @@ from repro.bench.harness import (
     Experiment,
     record_wall_clock,
     run_and_print,
-    scaled,
     smoke_mode,
 )
 from repro.crypto.paillier import generate_keypair

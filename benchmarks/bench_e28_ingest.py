@@ -52,7 +52,6 @@ from repro.bench.harness import (
 from repro.crypto.paillier import generate_keypair
 from repro.globalq.continuous import (
     DeltaBatcher,
-    EncryptedDelta,
     FoldShardTask,
     WindowSpec,
     fold_shard,
@@ -60,6 +59,7 @@ from repro.globalq.continuous import (
 from repro.globalq.parallel import WorkerPool
 from repro.globalq.queries import AggregateQuery
 from repro.net.codec import KIND_DELTA_BATCH, Frame, encode_delta_batch
+from repro.net.messages import EncryptedDelta
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     OpenLoopDeltaStorm,

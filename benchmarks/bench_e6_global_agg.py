@@ -15,10 +15,15 @@ import pytest
 
 from repro.bench.harness import Experiment, render_table, run_and_print
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    AggregateQuery,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.workloads.people import CITIES, generate_population
 
 QUERY = AggregateQuery.count(group_by="city", where=(("kind", "profile"),))

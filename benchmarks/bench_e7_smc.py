@@ -21,8 +21,8 @@ from repro.bench.harness import (
 )
 from repro.crypto.paillier import generate_keypair as paillier_keypair
 from repro.crypto.rsa import generate_keypair as rsa_keypair
+from repro.net.metrics import Channel
 from repro.smc.millionaire import millionaires
-from repro.smc.parties import Channel
 from repro.smc.secure_sum import paillier_secure_sum, ring_secure_sum
 
 RSA_KEYS = rsa_keypair(bits=256, rng=random.Random(71))

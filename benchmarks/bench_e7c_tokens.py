@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import Experiment, render_table, run_and_print
+from repro.bench.harness import Experiment, run_and_print
 from repro.crypto.rsa import generate_keypair as rsa_keypair
+from repro.net.metrics import Channel
 from repro.smc.association import mine_centralized, mine_distributed
 from repro.smc.garbled import garbled_millionaires
 from repro.smc.millionaire import millionaires
-from repro.smc.parties import Channel
 
 RSA_KEYS = rsa_keypair(bits=256, rng=random.Random(81))
 

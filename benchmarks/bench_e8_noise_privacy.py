@@ -14,14 +14,14 @@ import random
 from repro.bench.harness import Experiment, render_table, run_and_print
 from repro.globalq.attacks import frequency_analysis, histogram_flatness
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import (
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
     COMPLEMENTARY_NOISE,
     WHITE_NOISE,
+    AggregateQuery,
     NoisePlan,
-    NoiseProtocol,
 )
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.workloads.people import CITIES, generate_population
 
 QUERY = AggregateQuery.count(group_by="city", where=(("kind", "profile"),))

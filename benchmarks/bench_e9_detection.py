@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import Experiment, render_table, run_and_print
-from repro.globalq.protocol import PdsNode, TokenFleet, TrustedAggregator
 from repro.globalq.queries import AggregateQuery
 from repro.globalq.secureagg import SecureAggregationProtocol
 from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure
+from repro.globalq.tokens import PdsNode, TokenFleet, TrustedAggregator
 from repro.globalq.verification import (
     detection_probability,
     participation_audit,

@@ -12,7 +12,7 @@ Run with:  python examples/medical_folder.py
 import random
 
 from repro.apps.medical import MedicalDeployment, Practitioner
-from repro.globalq.protocol import PdsNode, TokenFleet
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.ppdp.generalize import QuasiIdentifier, age_hierarchy, city_hierarchy
 from repro.ppdp.kanon import anonymize_with_tokens
 from repro.workloads.people import generate_population

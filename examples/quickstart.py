@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.errors import AccessDenied
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.acl import Subject
 from repro.pds.datamodel import PersonalDocument, bill, energy_reading, medical_note
 from repro.pds.server import PersonalDataServer

@@ -12,10 +12,10 @@ Run with:  python examples/secure_datamining.py
 import random
 
 from repro.crypto.rsa import generate_keypair
+from repro.net.metrics import Channel
 from repro.smc.association import mine_centralized, mine_distributed
 from repro.smc.garbled import garbled_millionaires
 from repro.smc.millionaire import millionaires
-from repro.smc.parties import Channel
 from repro.smc.secure_sum import ring_secure_sum
 from repro.smc.set_ops import make_commutative_keys, secure_set_union
 

@@ -15,6 +15,7 @@ Run with:  python examples/service_demo.py
 import asyncio
 import random
 
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.net.bus import LinkProfile, MessageBus
 from repro.net.codec import (
     KIND_REJECT,
@@ -34,7 +35,6 @@ from repro.service import (
     run_query,
     standard_mix,
 )
-from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.workloads.people import CITIES, PersonRecord
 
 NUM_PDS = 60

@@ -14,8 +14,13 @@ import random
 
 from repro.globalq.attacks import frequency_analysis, histogram_flatness
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    AggregateQuery,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
 from repro.globalq.ssi import SsiBehavior
 from repro.pds.acl import Subject

@@ -18,9 +18,9 @@ import sys
 
 from repro import obs
 from repro.globalq.async_protocol import AsyncGlobalQuery
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import WHITE_NOISE, AggregateQuery, NoisePlan
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.hardware.token import SecurePortableToken
 from repro.net import LinkProfile
 from repro.relational.query import EmbeddedDatabase

@@ -10,6 +10,19 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
+
+from repro.errors import AccessDenied
+from repro.globalq import (
+    AggregateQuery,
+    DistributedGraph,
+    SecureAggregationProtocol,
+    TokenFleet,
+    private_reachability,
+)
+from repro.net.metrics import Channel
+from repro.pds import PdsPopulation, PersonalDataServer, Subject, bill, medical_note
+
 
 def main() -> None:
     print("repro — Managing Personal Data with Strong Privacy Guarantees")
@@ -17,8 +30,6 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n[Part I+II] One citizen's Personal Data Server")
-    from repro.errors import AccessDenied
-    from repro.pds import PersonalDataServer, Subject, bill, medical_note
 
     pds = PersonalDataServer(owner="alice")
     pds.ingest_all(
@@ -38,8 +49,6 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n[Part III] A protected census over 60 citizens")
-    from repro.globalq import AggregateQuery, SecureAggregationProtocol
-    from repro.pds import PdsPopulation
 
     population = PdsPopulation(60, seed=4)
     nodes = population.nodes_for(Subject("insee", "querier"))
@@ -56,10 +65,6 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n[Conclusion] Why graph queries are the hard case")
-    import networkx as nx
-
-    from repro.globalq import DistributedGraph, TokenFleet, private_reachability
-    from repro.smc.parties import Channel
 
     graph = nx.connected_watts_strogatz_graph(50, 4, 0.1, seed=2)
     dgraph = DistributedGraph(
@@ -76,7 +81,6 @@ def main() -> None:
 
     print("\nRun `pytest benchmarks/ --benchmark-only -s` for the full "
           "experiment tables (E1-E17).")
-
 
 if __name__ == "__main__":
     main()

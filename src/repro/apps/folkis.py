@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.datamodel import PersonalDocument, medical_note
 from repro.pds.sync import ReplicaState, badge_sync
 

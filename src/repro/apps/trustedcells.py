@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.acl import PrivacyPolicy, Subject
 from repro.pds.datamodel import PersonalDocument
 from repro.pds.server import (

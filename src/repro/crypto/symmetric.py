@@ -24,7 +24,7 @@ hold the two equal), at under half the cost. A cipher derives its two
 sub-keys and builds its two PRFs in ``__init__`` and never again:
 :meth:`NondeterministicCipher.with_nonces` hands out ciphers that share the
 keyed states and differ only in their nonce source, which is how
-:class:`~repro.globalq.protocol.TokenFleet` gives every PDS its own
+:class:`~repro.globalq.tokens.TokenFleet` gives every PDS its own
 ``Random(cipher_seed)`` nonce stream without re-keying. Keyed states are
 never ``update()``d after construction, so threads may share them; they do
 not pickle, so worker processes rebuild the fleet from its seed.

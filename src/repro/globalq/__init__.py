@@ -8,10 +8,10 @@ weakly malicious one is caught by authentication, replay detection and
 participation audits.
 """
 
+from repro.globalq.async_protocol import AsyncGlobalQuery
 from repro.globalq.attacks import AttackResult, frequency_analysis, histogram_flatness
 from repro.globalq.continuous import (
     DeltaEmitter,
-    EncryptedDelta,
     LiveWindow,
     StandingAggregate,
     StandingQuery,
@@ -26,12 +26,6 @@ from repro.globalq.graphq import (
     private_reachability,
 )
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.messages import (
-    EncryptedContribution,
-    Payload,
-    pack_payload,
-    unpack_payload,
-)
 from repro.globalq.parallel import (
     DEFAULT_SHARD_SIZE,
     ShardedCollector,
@@ -39,28 +33,18 @@ from repro.globalq.parallel import (
     shard_seed,
     shard_slices,
 )
-from repro.globalq.noise import (
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.protocol import ProtocolFamily, ProtocolReport
+from repro.globalq.queries import (
     COMPLEMENTARY_NOISE,
+    GLOBAL_GROUP,
     NO_NOISE,
     WHITE_NOISE,
-    NoisePlan,
-    NoiseProtocol,
-    plan_fakes,
-)
-from repro.globalq.protocol import (
-    AggregationOutcome,
-    PdsNode,
-    ProtocolFamily,
-    ProtocolReport,
-    TokenFleet,
-    TrustedAggregator,
-)
-from repro.globalq.queries import (
-    GLOBAL_GROUP,
-    Accumulator,
     AggregateQuery,
+    NoisePlan,
     local_contributions,
     plaintext_answer,
+    plan_fakes,
     record_matches,
 )
 from repro.globalq.secureagg import SecureAggregationProtocol
@@ -69,25 +53,13 @@ from repro.globalq.ssi import (
     SsiBehavior,
     SupportingServerInfrastructure,
 )
+from repro.globalq.tokens import PdsNode, TokenFleet, TrustedAggregator
 from repro.globalq.verification import (
     AuditResult,
     detection_probability,
     participating_pds_ids,
     participation_audit,
 )
-
-# The asyncio driver is resolved lazily (PEP 562): async_protocol imports
-# repro.net.bus, while repro.net.metrics imports repro.smc (whose package
-# import reaches back here through secure_sum → globalq.parallel). Importing
-# it eagerly would close that loop into a genuine cycle; deferring it keeps
-# `from repro.globalq import AsyncGlobalQuery` working from any entry point.
-def __getattr__(name: str):
-    if name == "AsyncGlobalQuery":
-        from repro.globalq.async_protocol import AsyncGlobalQuery
-
-        return AsyncGlobalQuery
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "COMPLEMENTARY_NOISE",
@@ -96,16 +68,12 @@ __all__ = [
     "HONEST",
     "NO_NOISE",
     "WHITE_NOISE",
-    "Accumulator",
     "AsyncGlobalQuery",
     "AggregateQuery",
-    "AggregationOutcome",
     "AttackResult",
     "AuditResult",
     "DeltaEmitter",
     "DistributedGraph",
-    "EncryptedContribution",
-    "EncryptedDelta",
     "GraphQueryReport",
     "EquiDepthBucketizer",
     "LiveWindow",
@@ -117,7 +85,6 @@ __all__ = [
     "HistogramProtocol",
     "NoisePlan",
     "NoiseProtocol",
-    "Payload",
     "PdsNode",
     "ProtocolFamily",
     "ProtocolReport",
@@ -133,7 +100,6 @@ __all__ = [
     "frequency_analysis",
     "histogram_flatness",
     "local_contributions",
-    "pack_payload",
     "participating_pds_ids",
     "participation_audit",
     "plaintext_answer",
@@ -142,5 +108,4 @@ __all__ = [
     "record_matches",
     "shard_seed",
     "shard_slices",
-    "unpack_payload",
 ]

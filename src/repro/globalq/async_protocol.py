@@ -37,17 +37,14 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import NetTimeout, ProtocolError, RetriesExhausted
-from repro.globalq.messages import EncryptedContribution
 from repro.globalq.protocol import (
-    AggregationOutcome,
-    PdsNode,
     ProtocolFamily,
     ProtocolReport,
-    TrustedAggregator,
     merge_outcomes,
 )
 from repro.globalq.queries import AggregateQuery
 from repro.globalq.ssi import SupportingServerInfrastructure
+from repro.globalq.tokens import PdsNode, TrustedAggregator
 from repro.net.bus import LinkProfile, MessageBus
 from repro.net.codec import (
     KIND_ACK,
@@ -69,6 +66,7 @@ from repro.net.codec import (
     pack_u32,
     unpack_u32,
 )
+from repro.net.messages import AggregationOutcome, EncryptedContribution
 from repro.net.retry import RetryPolicy, with_retries
 from repro.net.runtime import ChurnModel, NodeRuntime
 

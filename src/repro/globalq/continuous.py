@@ -43,6 +43,7 @@ from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 from repro.errors import ProtocolError, QueryError
 from repro.globalq.parallel import run_shards
 from repro.globalq.queries import AggregateQuery, local_contributions
+from repro.net.messages import EncryptedDelta
 from repro.obs import telemetry
 
 #: ``Enc(0)`` with blinding 1 — the multiplicative identity of the fold.
@@ -104,30 +105,6 @@ class WindowSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"malformed window spec: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class EncryptedDelta:
-    """One PDS's encrypted contribution change.
-
-    ``value_cipher`` encrypts the signed change of the PDS's value sum,
-    ``count_cipher`` the signed change of its matching-record count —
-    together they update the (sum, count) pair every SQL aggregate reduces
-    to. ``seq`` is the per-(PDS, subscription) sequence number: the SSI
-    folds each sequence at most once, so a replayed or duplicated delta
-    cannot double-count (the PR 6 replay rule, applied to the delta
-    stream).
-    """
-
-    pds_id: int
-    seq: int
-    timestamp: int
-    value_cipher: int
-    count_cipher: int
-
-    def ciphertext_bytes(self, n_squared: int) -> int:
-        """Wire size of the two ciphertexts under modulus ``n²``."""
-        return 2 * ((n_squared.bit_length() + 7) // 8)
 
 
 @dataclass(frozen=True)
@@ -225,7 +202,7 @@ class DeltaEmitter:
     ) -> EncryptedDelta | None:
         """The delta moving ``node`` to its current contribution, or None.
 
-        ``node`` duck-types :class:`~repro.globalq.protocol.PdsNode`
+        ``node`` duck-types :class:`~repro.globalq.tokens.PdsNode`
         (``pds_id`` + ``records``). Returns None when nothing this
         subscription can see changed — the common case under churn of
         non-matching PDSs, and what keeps steady-state traffic

@@ -31,8 +31,8 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.globalq.protocol import TokenFleet
-from repro.smc.parties import Channel
+from repro.globalq.tokens import TokenFleet
+from repro.net.metrics import Channel
 
 _NODE = struct.Struct("<I")
 

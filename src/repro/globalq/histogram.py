@@ -16,9 +16,10 @@ partials carry every group of the bucket.
 from __future__ import annotations
 
 from repro.errors import ProtocolError
-from repro.globalq.messages import EncryptedContribution
-from repro.globalq.protocol import ProtocolFamily, TokenFleet
+from repro.globalq.protocol import ProtocolFamily
 from repro.globalq.ssi import SupportingServerInfrastructure
+from repro.globalq.tokens import TokenFleet
+from repro.net.messages import EncryptedContribution
 
 
 class EquiDepthBucketizer:

@@ -12,55 +12,20 @@ aggregating tokens drop them after decryption):
 * :data:`COMPLEMENTARY_NOISE` — fakes are drawn from the *complement* of the
   PDS's own groups, pushing every tag's frequency toward uniform faster for
   the same bandwidth.
+
+The modes, the plan (:class:`~repro.globalq.queries.NoisePlan`) and the
+draw of one PDS's fakes (:func:`~repro.globalq.queries.plan_fakes`) live
+next to the real tuples in :mod:`repro.globalq.queries`, below the
+collection executor that runs them.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from repro.errors import ProtocolError
-from repro.globalq.messages import EncryptedContribution
-from repro.globalq.protocol import ProtocolFamily, TokenFleet
+from repro.globalq.protocol import ProtocolFamily
+from repro.globalq.queries import NoisePlan
 from repro.globalq.ssi import SupportingServerInfrastructure
-
-WHITE_NOISE = "white"
-COMPLEMENTARY_NOISE = "complementary"
-NO_NOISE = "none"
-
-
-@dataclass(frozen=True)
-class NoisePlan:
-    """How much fake traffic each PDS adds, and how it picks fake groups."""
-
-    mode: str = NO_NOISE
-    ratio: float = 0.0  # fake tuples per real tuple
-    domain: tuple[str, ...] = ()  # public group domain fakes draw from
-
-    def __post_init__(self) -> None:
-        if self.mode not in (NO_NOISE, WHITE_NOISE, COMPLEMENTARY_NOISE):
-            raise ProtocolError(f"unknown noise mode {self.mode!r}")
-        if self.mode != NO_NOISE and self.ratio > 0 and not self.domain:
-            raise ProtocolError("noise needs a public group domain")
-
-
-def plan_fakes(
-    real: list[tuple[str, float]],
-    plan: NoisePlan,
-    rng: random.Random,
-) -> list[tuple[str, float]]:
-    """The fake ``(group, value)`` tuples one PDS will inject."""
-    if plan.mode == NO_NOISE or plan.ratio <= 0 or not real:
-        return []
-    count = int(len(real) * plan.ratio + rng.random())  # stochastic rounding
-    own_groups = {group for group, _ in real}
-    if plan.mode == COMPLEMENTARY_NOISE:
-        pool = [g for g in plan.domain if g not in own_groups] or list(plan.domain)
-    else:
-        pool = list(plan.domain)
-    return [
-        (pool[rng.randrange(len(pool))], 0.0) for _ in range(count)
-    ]
+from repro.globalq.tokens import TokenFleet
+from repro.net.messages import EncryptedContribution
 
 
 class NoiseProtocol(ProtocolFamily):

@@ -14,7 +14,7 @@ pool without giving up reproducibility:
   draws its fake plan and cipher-nonce seed from the shard stream in node
   order — so the produced ciphertexts are bit-identical whether the shard
   runs in-process, in any worker, or in any order;
-* workers rebuild the :class:`~repro.globalq.protocol.TokenFleet` from its
+* workers rebuild the :class:`~repro.globalq.tokens.TokenFleet` from its
   key-derivation seed, so no key material crosses the process boundary
   inside live objects.
 
@@ -43,7 +43,7 @@ conversion happens:
 * *from an aggregation worker*: per-partition group names, sums, counts,
   the three tallies and the seen ``(pds_id, sequence)`` pairs as flat
   arrays (:func:`pack_outcomes`), turned back into
-  :class:`~repro.globalq.protocol.AggregationOutcome` objects
+  :class:`~repro.net.messages.AggregationOutcome` objects
   (:func:`unpack_outcomes`).
 
 An inline run constructs none of this: it builds and returns the same
@@ -69,12 +69,11 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from repro import obs
-from repro.globalq.messages import EncryptedContribution
-from repro.globalq.queries import (
-    Accumulator,
-    AggregateQuery,
-    local_contributions,
-)
+from repro.crypto.fastexp import count_modexp
+from repro.crypto.paillier import PaillierPublicKey
+from repro.globalq.queries import AggregateQuery, local_contributions, plan_fakes
+from repro.globalq.tokens import TokenFleet, TrustedAggregator, encrypt_contributions
+from repro.net.messages import Accumulator, AggregationOutcome, EncryptedContribution
 from repro.obs import telemetry
 
 #: Nodes per shard. Fixed (never derived from the worker count) so that
@@ -271,10 +270,6 @@ def collect_shard(task: CollectTask):
     back wrapped in a :class:`~repro.obs.telemetry.TracedResult` for the
     submitter to adopt; otherwise the plain contribution list returns.
     """
-    # Imported here: the family modules import this module at top level.
-    from repro.globalq.noise import plan_fakes
-    from repro.globalq.protocol import TokenFleet, encrypt_contributions
-
     with telemetry.remote_recording(
         task.trace, f"worker-{os.getpid()}"
     ) as recording:
@@ -478,7 +473,7 @@ class AggregateTask:
     """A run of consecutive partitions for one aggregation worker.
 
     Born flat: it only ever exists on its way to a pool (inline runs hand
-    each partition to a :class:`~repro.globalq.protocol.TrustedAggregator`
+    each partition to a :class:`~repro.globalq.tokens.TrustedAggregator`
     keyed from the caller's own fleet).
     """
 
@@ -560,8 +555,6 @@ def pack_outcomes(outcomes: list) -> tuple:
 
 def unpack_outcomes(flat: tuple) -> list:
     """Inverse of :func:`pack_outcomes`."""
-    from repro.globalq.protocol import AggregationOutcome
-
     group_counts, groups, sums, counts, tallies, seen_counts, seen = flat
     pairs = list(zip(seen[0::2], seen[1::2]))
     outcomes = []
@@ -597,8 +590,6 @@ def aggregate_shard(task: AggregateTask):
     :class:`~repro.obs.telemetry.TracedResult` when the task's trace
     context asked this worker process to record its execution span.
     """
-    from repro.globalq.protocol import TokenFleet, TrustedAggregator
-
     with telemetry.remote_recording(
         task.trace, f"worker-{os.getpid()}"
     ) as recording:
@@ -679,9 +670,6 @@ def sum_shard(task: SumShardTask):
     :class:`~repro.obs.telemetry.TracedResult` when the task's trace
     context asked this worker process to record its execution span.
     """
-    # Local import keeps worker start-up (and pickling) minimal.
-    from repro.crypto.paillier import PaillierPublicKey
-
     with telemetry.remote_recording(
         task.trace, f"worker-{os.getpid()}"
     ) as recording:
@@ -750,8 +738,6 @@ def collect_encrypted_sum(
             shard_slices(len(values), shard_size)
         )
     ]
-    from repro.crypto.fastexp import count_modexp
-
     # Workers count their exponentiations in their own process; mirror
     # them into this process's registry. An adopted exec span's counters
     # land in the shard span's child counts, cancelling the mirror out of

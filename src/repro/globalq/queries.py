@@ -5,14 +5,18 @@ The query class of [TNP14] as presented in the tutorial: SQL aggregates —
 ``WHERE`` — evaluated over the union of every citizen's records. The WHERE
 clause is always applied *locally by each PDS* (only authorized, filtered
 contributions ever leave a token), so what a protocol moves around is a bag
-of ``(group, value)`` contributions.
+of ``(group, value)`` contributions — the real ones
+(:func:`local_contributions`) and, under the noise-based family, the fake
+ones a :class:`NoisePlan` adds (:func:`plan_fakes`).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from repro.errors import QueryError
+from repro.errors import ProtocolError, QueryError
+from repro.net.messages import Accumulator
 from repro.workloads.people import PersonRecord
 
 AGGREGATES = ("COUNT", "SUM", "AVG")
@@ -116,42 +120,44 @@ def local_contributions(
     return contributions
 
 
-class Accumulator:
-    """Composable partial aggregate: (sum, count) per group.
+#: Fake-tuple modes of a :class:`NoisePlan` (see :mod:`repro.globalq.noise`).
+WHITE_NOISE = "white"
+COMPLEMENTARY_NOISE = "complementary"
+NO_NOISE = "none"
 
-    All three SQL aggregates reduce to sum/count pairs, which merge
-    associatively — the property every partition-then-combine protocol
-    needs.
-    """
 
-    def __init__(self) -> None:
-        self.sums: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
+@dataclass(frozen=True)
+class NoisePlan:
+    """How much fake traffic each PDS adds, and how it picks fake groups."""
 
-    def add(self, group: str, value: float) -> None:
-        self.sums[group] = self.sums.get(group, 0.0) + value
-        self.counts[group] = self.counts.get(group, 0) + 1
+    mode: str = NO_NOISE
+    ratio: float = 0.0  # fake tuples per real tuple
+    domain: tuple[str, ...] = ()  # public group domain fakes draw from
 
-    def merge(self, other: "Accumulator") -> None:
-        for group, value in other.sums.items():
-            self.sums[group] = self.sums.get(group, 0.0) + value
-        for group, count in other.counts.items():
-            self.counts[group] = self.counts.get(group, 0) + count
+    def __post_init__(self) -> None:
+        if self.mode not in (NO_NOISE, WHITE_NOISE, COMPLEMENTARY_NOISE):
+            raise ProtocolError(f"unknown noise mode {self.mode!r}")
+        if self.mode != NO_NOISE and self.ratio > 0 and not self.domain:
+            raise ProtocolError("noise needs a public group domain")
 
-    def finalize(self, query: AggregateQuery) -> dict[str, float]:
-        result = {}
-        for group in self.sums:
-            if query.aggregate == "COUNT":
-                result[group] = float(self.counts[group])
-            elif query.aggregate == "SUM":
-                result[group] = self.sums[group]
-            else:  # AVG
-                result[group] = self.sums[group] / self.counts[group]
-        return result
 
-    def serialized_size(self) -> int:
-        """Wire size of this partial (group strings + two 8 B numbers)."""
-        return sum(len(group.encode()) + 16 for group in self.sums)
+def plan_fakes(
+    real: list[tuple[str, float]],
+    plan: NoisePlan,
+    rng: random.Random,
+) -> list[tuple[str, float]]:
+    """The fake ``(group, value)`` tuples one PDS will inject."""
+    if plan.mode == NO_NOISE or plan.ratio <= 0 or not real:
+        return []
+    count = int(len(real) * plan.ratio + rng.random())  # stochastic rounding
+    own_groups = {group for group, _ in real}
+    if plan.mode == COMPLEMENTARY_NOISE:
+        pool = [g for g in plan.domain if g not in own_groups] or list(plan.domain)
+    else:
+        pool = list(plan.domain)
+    return [
+        (pool[rng.randrange(len(pool))], 0.0) for _ in range(count)
+    ]
 
 
 def plaintext_answer(

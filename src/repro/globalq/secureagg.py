@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 
-from repro.globalq.messages import EncryptedContribution
-from repro.globalq.protocol import ProtocolFamily, TokenFleet
+from repro.globalq.protocol import ProtocolFamily
 from repro.globalq.ssi import SupportingServerInfrastructure
+from repro.globalq.tokens import TokenFleet
+from repro.net.messages import EncryptedContribution
 
 
 class SecureAggregationProtocol(ProtocolFamily):

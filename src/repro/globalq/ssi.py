@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.globalq.messages import EncryptedContribution
+from repro.net.messages import EncryptedContribution
 
 
 @dataclass(frozen=True)

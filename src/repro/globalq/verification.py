@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.globalq.protocol import AggregationOutcome
+from repro.net.messages import AggregationOutcome
 
 
 @dataclass

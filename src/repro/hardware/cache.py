@@ -23,9 +23,10 @@ Correctness rules:
   the uncached :class:`~repro.hardware.flash.FlashStats` counts exactly
   (the escape hatch benchmarks use as their baseline).
 
-Hot pages are also **decoded once**: :meth:`PageCache.read_records`
-memoizes :func:`repro.storage.pager.unpack_records` alongside the cached
-bytes, so repeated scans of the same page (the double-pass TF-IDF query,
+Hot pages are also **decoded once**: :meth:`PageCache.read_decoded`
+memoizes a page's decoder (for record logs,
+:func:`repro.storage.pager.unpack_records`) alongside the cached bytes,
+so repeated scans of the same page (the double-pass TF-IDF query,
 repeated Tselect probes) skip both the flash IO and the unpacking.
 """
 
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from repro.errors import StorageError
 from repro.hardware.flash import NandFlash
 from repro.hardware.ram import RamArena
-from repro.storage import pager
 
 #: RAM charged per cache slot beyond the page itself: the directory entry
 #: (physical page number + LRU links), matching what token firmware would
@@ -167,14 +167,6 @@ class PageCache:
         if entry is None:
             entry = self._fill(page_no)
         return entry.data
-
-    def read_records(self, page_no: int) -> list[bytes]:
-        """Read + unpack one page, decoding at most once per residency.
-
-        Callers must treat the returned list as immutable — it is shared by
-        every reader of the page until the entry is evicted or invalidated.
-        """
-        return self.read_decoded(page_no, pager.unpack_records)
 
     def read_decoded(self, page_no: int, decode):
         """Read one page through ``decode``, memoizing the result.

@@ -370,7 +370,7 @@ class BlockAllocator:
 
     def __init__(self, flash: NandFlash, allocated=()) -> None:
         self.flash = flash
-        #: Optional :class:`~repro.storage.cache.PageCache` every log built
+        #: Optional :class:`~repro.hardware.cache.PageCache` every log built
         #: on this allocator reads through (see ``attach_cache``). Kept here
         #: because the allocator is the one object all storage structures
         #: already share.

@@ -23,6 +23,7 @@ import hmac
 import itertools
 
 from repro.errors import TamperedTokenError
+from repro.hardware.cache import PageCache
 from repro.hardware.flash import BlockAllocator, NandFlash
 from repro.hardware.mcu import Microcontroller
 from repro.hardware.profiles import HardwareProfile, smart_usb_token
@@ -104,13 +105,11 @@ class SecurePortableToken:
         """Install an LRU page cache charged against the MCU's RAM arena.
 
         All logs built on this token's allocator immediately read through
-        it; returns the :class:`~repro.storage.cache.PageCache` so callers
+        it; returns the :class:`~repro.hardware.cache.PageCache` so callers
         can inspect its stats. Enabling with 0 pages is allowed (a pure
         pass-through that still counts misses), matching the benchmarks'
         cache-disabled baseline.
         """
-        from repro.storage.cache import PageCache  # avoid layering cycle
-
         if self.page_cache is not None:
             self.disable_page_cache()
         self.page_cache = PageCache(

@@ -6,12 +6,11 @@ value equality and conjunctions, all in the token's RAM budget.
 """
 
 from repro.hierarchical.paths import SEP, flatten, path_matches
-from repro.hierarchical.store import HierarchicalStore, PathQueryStats
+from repro.hierarchical.store import HierarchicalStore
 
 __all__ = [
     "SEP",
     "HierarchicalStore",
-    "PathQueryStats",
     "flatten",
     "path_matches",
 ]

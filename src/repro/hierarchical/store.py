@@ -16,7 +16,6 @@ The log-framework recipe, applied to path postings:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from repro.errors import QueryError
 from repro.hardware.flash import BlockAllocator
@@ -27,13 +26,6 @@ from repro.storage.hashbucket import ChainedBucketLog, bucket_of
 from repro.storage.log import RecordLog
 
 _DOCID = struct.Struct("<I")
-
-
-@dataclass
-class PathQueryStats:
-    """Flash pages touched by the last query."""
-
-    bucket_pages: int = 0
 
 
 class HierarchicalStore:

@@ -5,10 +5,11 @@ intermittently connected secure tokens talking to an always-on, untrusted
 SSI. This package models the *communication* half of that claim — per-link
 latency/jitter/loss (:class:`MessageBus`, :class:`LinkProfile`), bounded
 mailboxes with backpressure (:class:`Endpoint`), retry with exponential
-backoff (:func:`with_retries`), byte-level framing (:mod:`repro.net.codec`),
-node churn scheduling (:class:`NodeRuntime`, :class:`ChurnModel`) and
-traffic metrics that subsume the synchronous protocols'
-``CommStats`` (:class:`NetMetrics`).
+backoff (:func:`with_retries`), byte-level framing (:mod:`repro.net.codec`)
+of the protocols' wire types (:mod:`repro.net.messages`), node churn
+scheduling (:class:`NodeRuntime`, :class:`ChurnModel`) and traffic
+accounting — the synchronous protocols' :class:`~repro.net.metrics.Channel`
+and the network's :class:`NetMetrics`, which subsumes it.
 
 :mod:`repro.globalq.async_protocol` drives the three [TNP14] protocol
 families over this runtime.

@@ -3,16 +3,18 @@
 Everything that crosses the :class:`~repro.net.bus.MessageBus` is a
 :class:`Frame` — a small header plus an opaque payload — so latency, loss and
 bandwidth models act on real byte counts, not Python objects. The payload
-codecs extend the wire formats of :mod:`repro.globalq.messages`:
+codecs encode the wire types of :mod:`repro.net.messages`:
 
 * :func:`encode_contribution` / :func:`decode_contribution` — an
-  :class:`~repro.globalq.messages.EncryptedContribution` (blob + optional
+  :class:`~repro.net.messages.EncryptedContribution` (blob + optional
   deterministic group tag + optional cleartext bucket id);
 * :func:`encode_partition` / :func:`decode_partition` — a partition the SSI
   assigns to a claiming token (partition id + contribution list);
 * :func:`encode_outcome` / :func:`decode_outcome` — a token's partial
-  aggregate (:class:`~repro.globalq.protocol.AggregationOutcome`) on its way
-  to the querier.
+  aggregate (:class:`~repro.net.messages.AggregationOutcome`) on its way
+  to the querier;
+* :func:`encode_delta_batch` / :func:`decode_delta_batch` — many
+  :class:`~repro.net.messages.EncryptedDelta` changes of standing queries.
 
 Malformed bytes always raise :class:`~repro.errors.ProtocolError`, never a
 bare struct/unicode error — receivers must be able to discard garbage.
@@ -23,14 +25,15 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import ProtocolError
-
-if TYPE_CHECKING:  # imported lazily at runtime to keep repro.net standalone
-    from repro.globalq.continuous import EncryptedDelta
-    from repro.globalq.messages import EncryptedContribution
-    from repro.globalq.protocol import AggregationOutcome
+from repro.net.messages import (
+    Accumulator,
+    AggregationOutcome,
+    EncryptedContribution,
+    EncryptedDelta,
+)
+from repro.obs.telemetry import TraceContext
 
 # ---------------------------------------------------------------------------
 # Frame kinds (the protocol control vocabulary)
@@ -48,7 +51,7 @@ KIND_DONE = 9  #: querier -> SSI: partition completed, stop reassigning it
 KIND_QUERY = 10  #: querier -> SSI service: a query descriptor to serve
 KIND_RESULT = 11  #: SSI service -> querier: the served aggregate
 KIND_REJECT = 12  #: SSI service -> querier: admission control shed the query
-KIND_TELEMETRY = 13  #: telemetry snapshot request/response (obs.top)
+KIND_TELEMETRY = 13  #: telemetry snapshot request/response (service.top)
 KIND_SUBSCRIBE = 14  #: querier -> SSI service: register a standing query
 # 15 stays unassigned: renumbering would move the bytes of every later kind.
 KIND_UPDATE = 16  #: SSI service -> querier: a window-boundary update
@@ -152,8 +155,6 @@ def decode_frame(data: bytes) -> Frame:
     offset += slen
     trace = None
     if trace_len:
-        from repro.obs.telemetry import TraceContext
-
         trace = TraceContext.from_bytes(data[offset : offset + trace_len])
         offset += trace_len
     return Frame(kind, sender, seq, bytes(data[offset:]), trace=trace)
@@ -201,8 +202,10 @@ _FLAG_BUCKET = 0x02
 _CONTRIB_HEADER = struct.Struct("<BIHi")  # flags, blob_len, tag_len, bucket
 
 
-def encode_contribution(contribution: "EncryptedContribution") -> bytes:
+def encode_contribution(contribution: EncryptedContribution) -> bytes:
     tag = contribution.group_tag or b""
+    if len(tag) > 0xFFFF:
+        raise ProtocolError("group tag longer than 65535 bytes")
     flags = 0
     if contribution.group_tag is not None:
         flags |= _FLAG_TAG
@@ -217,9 +220,7 @@ def encode_contribution(contribution: "EncryptedContribution") -> bytes:
     )
 
 
-def decode_contribution(data: bytes) -> "EncryptedContribution":
-    from repro.globalq.messages import EncryptedContribution
-
+def decode_contribution(data: bytes) -> EncryptedContribution:
     if len(data) < _CONTRIB_HEADER.size:
         raise ProtocolError("contribution frame too short")
     flags, blob_len, tag_len, bucket = _CONTRIB_HEADER.unpack_from(data, 0)
@@ -243,8 +244,10 @@ _PARTITION_HEADER = struct.Struct("<IH")  # partition id, contribution count
 
 
 def encode_partition(
-    partition_id: int, contributions: "list[EncryptedContribution]"
+    partition_id: int, contributions: list[EncryptedContribution]
 ) -> bytes:
+    if len(contributions) > 0xFFFF:
+        raise ProtocolError("partition larger than 65535 contributions")
     parts = [_PARTITION_HEADER.pack(partition_id, len(contributions))]
     for contribution in contributions:
         encoded = encode_contribution(contribution)
@@ -255,7 +258,7 @@ def encode_partition(
 
 def decode_partition(
     data: bytes,
-) -> "tuple[int, list[EncryptedContribution]]":
+) -> tuple[int, list[EncryptedContribution]]:
     if len(data) < _PARTITION_HEADER.size:
         raise ProtocolError("partition frame too short")
     partition_id, count = _PARTITION_HEADER.unpack_from(data, 0)
@@ -285,7 +288,7 @@ _GROUP_STATS = struct.Struct("<dI")  # sum, count
 _U16 = struct.Struct("<H")
 
 
-def encode_outcome(partition_id: int, outcome: "AggregationOutcome") -> bytes:
+def encode_outcome(partition_id: int, outcome: AggregationOutcome) -> bytes:
     accumulator = outcome.accumulator
     parts = [
         _OUTCOME_HEADER.pack(
@@ -301,6 +304,8 @@ def encode_outcome(partition_id: int, outcome: "AggregationOutcome") -> bytes:
         parts.append(_SEEN_PAIR.pack(pds_id, sequence))
     for group in sorted(accumulator.sums):
         encoded = group.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ProtocolError("group name longer than 65535 bytes")
         parts.append(_U16.pack(len(encoded)))
         parts.append(encoded)
         parts.append(
@@ -309,10 +314,7 @@ def encode_outcome(partition_id: int, outcome: "AggregationOutcome") -> bytes:
     return b"".join(parts)
 
 
-def decode_outcome(data: bytes) -> "tuple[int, AggregationOutcome]":
-    from repro.globalq.protocol import AggregationOutcome
-    from repro.globalq.queries import Accumulator
-
+def decode_outcome(data: bytes) -> tuple[int, AggregationOutcome]:
     if len(data) < _OUTCOME_HEADER.size:
         raise ProtocolError("outcome frame too short")
     pid, real, fake, failures, nseen, ngroups = _OUTCOME_HEADER.unpack_from(
@@ -340,6 +342,12 @@ def decode_outcome(data: bytes) -> "tuple[int, AggregationOutcome]":
         offset += glen
         total, count = _GROUP_STATS.unpack_from(data, offset)
         offset += _GROUP_STATS.size
+        # An aggregator only reports groups it added to, each once: a
+        # zero count or a repeated group is garbage, not a partial.
+        if count == 0:
+            raise ProtocolError(f"outcome group {group!r} has count 0")
+        if group in accumulator.sums:
+            raise ProtocolError(f"outcome group {group!r} repeated")
         accumulator.sums[group] = total
         accumulator.counts[group] = count
     if offset != len(data):
@@ -361,7 +369,7 @@ def decode_outcome(data: bytes) -> "tuple[int, AggregationOutcome]":
 _DELTA_HEADER = struct.Struct("<IIIqHH")
 
 
-def encode_delta(subscription_id: int, delta: "EncryptedDelta") -> bytes:
+def encode_delta(subscription_id: int, delta: EncryptedDelta) -> bytes:
     """One ``DELTA_BATCH`` entry: header + the two big-endian ciphertexts.
 
     The ciphertext blobs are what the bandwidth model charges — for a
@@ -390,9 +398,7 @@ def encode_delta(subscription_id: int, delta: "EncryptedDelta") -> bytes:
     )
 
 
-def decode_delta(data: bytes) -> "tuple[int, EncryptedDelta]":
-    from repro.globalq.continuous import EncryptedDelta
-
+def decode_delta(data: bytes) -> tuple[int, EncryptedDelta]:
     if len(data) < _DELTA_HEADER.size:
         raise ProtocolError("delta entry too short")
     sub_id, pds_id, seq, timestamp, vlen, clen = _DELTA_HEADER.unpack_from(
@@ -440,7 +446,7 @@ def encode_delta_batch(entries) -> bytes:
     return b"".join(parts)
 
 
-def decode_delta_batch(data: bytes) -> "list[tuple[int, EncryptedDelta]]":
+def decode_delta_batch(data: bytes) -> list[tuple[int, EncryptedDelta]]:
     """Decode a ``DELTA_BATCH`` payload; garbage raises ProtocolError."""
     if len(data) < _BATCH_HEADER.size:
         raise ProtocolError("delta batch frame too short")

@@ -14,8 +14,9 @@ One observability substrate for every layer of the stack:
   wires all of the above around one run;
 * :mod:`repro.obs.check` — artifact schema validation for CI.
 
-Instrumented hot paths call the module-level helpers below, which are
-no-ops costing one ``None`` check while no tracer is installed::
+Instrumented hot paths call the active-tracer helpers of
+:mod:`repro.obs.tracer`, re-exported here, which are no-ops costing one
+``None`` check while no tracer is installed::
 
     from repro import obs
 
@@ -33,10 +34,6 @@ Install a tracer for a scope with :func:`tracing` (or let
         db.query(query)
     print(obs.top_cost_report(tracer))
 """
-
-from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.obs.export import (
     aggregate_by_name,
@@ -61,7 +58,13 @@ from repro.obs.tracer import (
     NullSpan,
     Span,
     Tracer,
+    current_span_id,
     current_trace_context,
+    event,
+    get_tracer,
+    set_tracer,
+    span,
+    tracing,
 )
 
 __all__ = [
@@ -92,62 +95,3 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
-
-#: The process-active tracer (None = tracing disabled, the default).
-_active: Tracer | None = None
-
-
-def get_tracer() -> Tracer | None:
-    """The currently installed tracer, or None when tracing is off."""
-    return _active
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install ``tracer`` as the process-active tracer; returns it."""
-    global _active
-    _active = tracer
-    return tracer
-
-
-@contextmanager
-def tracing(tracer: Tracer):
-    """Scope-bound :func:`set_tracer`: restores the previous tracer."""
-    global _active
-    previous = _active
-    _active = tracer
-    try:
-        yield tracer
-    finally:
-        _active = previous
-
-
-def span(name: str, **attrs):
-    """A span on the active tracer, or the shared no-op span when off.
-
-    Head sampling hooks in here: while an *unsampled* distributed trace
-    context is active (:func:`repro.obs.telemetry.activate`), spans are
-    suppressed to the shared no-op — the per-trace off switch. The check
-    runs only when a tracer is installed, so the disabled-overhead budget
-    stays one ``None`` check. Events are never suppressed (the anomaly
-    always-keep channel).
-    """
-    tracer = _active
-    if tracer is None:
-        return NULL_SPAN
-    context = current_trace_context()
-    if context is not None and not context.sampled:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)
-
-
-def event(name: str, **attrs) -> None:
-    """An instant event on the active tracer (no-op when off)."""
-    tracer = _active
-    if tracer is not None:
-        tracer.event(name, **attrs)
-
-
-def current_span_id() -> int | None:
-    """Id of the innermost open span, or None (off / no open span)."""
-    tracer = _active
-    return tracer.current_span_id() if tracer is not None else None

@@ -2,11 +2,11 @@
 
 The repo grew more than a dozen ad-hoc stats dataclasses —
 :class:`~repro.hardware.flash.FlashStats`,
-:class:`~repro.storage.cache.CacheStats`,
+:class:`~repro.hardware.cache.CacheStats`,
 :class:`~repro.relational.query.ExecutionStats`,
 :class:`~repro.search.engine.SearchStats`,
 :class:`~repro.net.metrics.NetMetrics`,
-:class:`~repro.smc.parties.CommStats`, the CPU cycle counters … — each
+:class:`~repro.net.metrics.CommStats`, the CPU cycle counters … — each
 readable only by whoever holds the owning object. The
 :class:`MetricsRegistry` rolls them up without breaking any of them: legacy
 stats objects register through :meth:`MetricsRegistry.register_stats`, a

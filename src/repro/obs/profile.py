@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.obs import export
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, get_tracer, set_tracer
 
 
 class ProfileResult:
@@ -90,8 +90,6 @@ def profile(
     is wrapped in one root span (``span_name``; None to skip) so child
     costs always sum into a single tree.
     """
-    from repro import obs
-
     tracer = tracer or Tracer()
     registry = registry or MetricsRegistry()
     watched = list(tokens)
@@ -121,8 +119,8 @@ def profile(
         registry.register_stats("net", net_metrics)
 
     result = ProfileResult(tracer, registry)
-    previous = obs.get_tracer()
-    obs.set_tracer(tracer)
+    previous = get_tracer()
+    set_tracer(tracer)
     root = tracer.span(span_name) if span_name else None
     try:
         if root is not None:
@@ -131,5 +129,5 @@ def profile(
     finally:
         if root is not None:
             root.close()
-        obs.set_tracer(previous)
+        set_tracer(previous)
         tracer.close()

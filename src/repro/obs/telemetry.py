@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from repro.obs import tracer as tracer_mod
 from repro.obs.export import span_dict
+from repro.obs.recorder import FlightRecorder, SloMonitor
 from repro.obs.tracer import Tracer
 
 #: Wire encoding of one TraceContext: trace id, parent span id, flags.
@@ -144,17 +145,13 @@ def propagated(parent_span_id: int | None = None) -> TraceContext | None:
     tracer is, an ad-hoc always-sampled context is synthesized so legacy
     profiled runs (``obs.profile``) still get child-process spans back.
     """
-    from repro import obs
-
     context = current_context()
     if context is None:
-        if obs.get_tracer() is None:
+        if tracer_mod.get_tracer() is None:
             return None
         context = TraceContext(trace_id=0, sampled=True)
     if parent_span_id is None:
-        from repro import obs as _obs
-
-        parent_span_id = _obs.current_span_id()
+        parent_span_id = tracer_mod.current_span_id()
     return context.child(parent_span_id)
 
 
@@ -204,12 +201,10 @@ def remote_recording(context: TraceContext, label: str = ""):
     through ``fork`` has a foreign ``pid``: it is the submitter's dead
     copy, so the worker records for shipment instead of writing into it.
     """
-    from repro import obs
-
     if context is None or not context.sampled:
         yield None
         return
-    active = obs.get_tracer()
+    active = tracer_mod.get_tracer()
     if active is not None and active.pid == os.getpid():
         yield None
         return
@@ -224,7 +219,7 @@ def remote_recording(context: TraceContext, label: str = ""):
     # context's remote parent, nothing local.
     current_token = tracer_mod._CURRENT.set(None)
     try:
-        with obs.tracing(tracer):
+        with tracer_mod.tracing(tracer):
             with activate(context):
                 yield handle
     finally:
@@ -240,9 +235,7 @@ def adopt(value, parent) -> object:
     """
     if not isinstance(value, TracedResult):
         return value
-    from repro import obs
-
-    tracer = obs.get_tracer()
+    tracer = tracer_mod.get_tracer()
     if tracer is not None and value.spans:
         real_parent = parent if isinstance(parent, tracer_mod.Span) else None
         tracer.adopt_remote(value.spans, real_parent)
@@ -310,8 +303,6 @@ class Telemetry:
         ram=None,
         max_spans: int = 200_000,
     ) -> None:
-        from repro.obs.recorder import FlightRecorder, SloMonitor
-
         self.tracer = Tracer(max_spans=max_spans)
         self.tracer.use_wall_clock()
         self.tracer.watch_modexp()
@@ -335,11 +326,9 @@ class Telemetry:
         """Attach the recorder and make the tracer process-active."""
         if self._installed:
             return self
-        from repro import obs
-
         self.recorder.attach(self.tracer)
-        self._previous = obs.get_tracer()
-        obs.set_tracer(self.tracer)
+        self._previous = tracer_mod.get_tracer()
+        tracer_mod.set_tracer(self.tracer)
         self._installed = True
         return self
 
@@ -347,9 +336,7 @@ class Telemetry:
         """Restore the previous tracer and detach every hook (idempotent)."""
         if not self._installed:
             return
-        from repro import obs
-
-        obs.set_tracer(self._previous)
+        tracer_mod.set_tracer(self._previous)
         self.recorder.detach()
         self.tracer.close()
         self._installed = False
@@ -366,9 +353,7 @@ class Telemetry:
         self.slo.observe(query_class, latency_ms)
 
     def _on_breach(self, query_class: str, p99_ms: float, slo_ms: float) -> None:
-        from repro import obs
-
-        obs.event(
+        tracer_mod.event(
             "slo.breach",
             query_class=query_class,
             p99_ms=round(p99_ms, 3),

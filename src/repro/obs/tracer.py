@@ -6,7 +6,7 @@ The :class:`Tracer` makes those costs *attributable*: a span brackets one
 logical operation (a query, one Tselect probe, one protocol phase), and its
 duration and counters are **deltas of the existing cost models** — the
 flash chip's :class:`~repro.hardware.flash.FlashStats`, the page cache's
-:class:`~repro.storage.cache.CacheStats`, the MCU cycle counters, the
+:class:`~repro.hardware.cache.CacheStats`, the MCU cycle counters, the
 network's :class:`~repro.net.metrics.NetMetrics` — never wall-clock time.
 
 Attribution is exact by construction:
@@ -42,7 +42,10 @@ overhead" budget of the hot paths.
 from __future__ import annotations
 
 import contextvars
+from contextlib import contextmanager
 from typing import Callable, Iterable
+
+from repro.obs.metrics import global_registry
 
 #: Innermost open span of the current (task-local) execution context.
 _CURRENT: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
@@ -387,8 +390,6 @@ class Tracer:
         lands in the global registry; watching it lets spans attribute
         crypto cost the same way flash spans attribute page reads.
         """
-        from repro.obs.metrics import global_registry
-
         counter = global_registry().counter("crypto.modexp_count")
         self.add_source(prefix, lambda: {"modexp_count": counter.value})
 
@@ -574,3 +575,66 @@ class Tracer:
 
     def spans_named(self, name: str) -> Iterable[Span]:
         return [span for span in self.spans if span.name == name]
+
+
+# ----------------------------------------------------------------------
+# The process-active tracer: what ``obs.span``/``obs.event`` report to
+# ----------------------------------------------------------------------
+#: The process-active tracer (None = tracing disabled, the default).
+_active: Tracer | None = None
+
+
+def get_tracer() -> Tracer | None:
+    """The currently installed tracer, or None when tracing is off."""
+    return _active
+
+
+def set_tracer(tracer: Tracer | None) -> Tracer | None:
+    """Install ``tracer`` as the process-active tracer; returns it."""
+    global _active
+    _active = tracer
+    return tracer
+
+
+@contextmanager
+def tracing(tracer: Tracer):
+    """Scope-bound :func:`set_tracer`: restores the previous tracer."""
+    global _active
+    previous = _active
+    _active = tracer
+    try:
+        yield tracer
+    finally:
+        _active = previous
+
+
+def span(name: str, **attrs):
+    """A span on the active tracer, or the shared no-op span when off.
+
+    Head sampling hooks in here: while an *unsampled* distributed trace
+    context is active (:func:`repro.obs.telemetry.activate`), spans are
+    suppressed to the shared no-op — the per-trace off switch. The check
+    runs only when a tracer is installed, so the disabled-overhead budget
+    stays one ``None`` check. Events are never suppressed (the anomaly
+    always-keep channel).
+    """
+    tracer = _active
+    if tracer is None:
+        return NULL_SPAN
+    context = current_trace_context()
+    if context is not None and not context.sampled:
+        return NULL_SPAN
+    return tracer.span(name, **attrs)
+
+
+def event(name: str, **attrs) -> None:
+    """An instant event on the active tracer (no-op when off)."""
+    tracer = _active
+    if tracer is not None:
+        tracer.event(name, **attrs)
+
+
+def current_span_id() -> int | None:
+    """Id of the innermost open span, or None (off / no open span)."""
+    tracer = _active
+    return tracer.current_span_id() if tracer is not None else None

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 from repro.hardware.flash import BlockAllocator
+from repro.storage import pager
 from repro.storage.log import RecordLog
 
 _GENESIS = b"\x00" * 32
@@ -93,8 +94,6 @@ class AuditLog:
         Accountability over durable history is intact: `verify_chain`
         still walks genesis to head.
         """
-        from repro.storage import pager  # local: avoid widening module deps
-
         recovered = session.claim("audit")
         log = cls.__new__(cls)
         log._log = RecordLog.remount(session.allocator, "audit", recovered)

@@ -1,7 +1,7 @@
 """Populations of full Personal Data Servers, bridged to Part III.
 
 The global protocols of :mod:`repro.globalq` operate on light
-:class:`~repro.globalq.protocol.PdsNode` views. This module builds a
+:class:`~repro.globalq.tokens.PdsNode` views. This module builds a
 population of *complete* :class:`PersonalDataServer` instances from the
 synthetic people workload and derives the protocol nodes from them through
 the access-control layer — so a global query really does traverse each
@@ -10,7 +10,7 @@ citizen's policy before anything leaves a token.
 
 from __future__ import annotations
 
-from repro.globalq.protocol import PdsNode, TokenFleet
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.pds.acl import Subject, default_policy
 from repro.pds.datamodel import PersonalDocument
 from repro.pds.server import PersonalDataServer

@@ -21,7 +21,7 @@ import hmac
 import json
 
 from repro.errors import AccessDenied, IntegrityError, ProtocolError
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.acl import Subject
 from repro.pds.datamodel import PersonalDocument
 from repro.pds.server import PersonalDataServer, _deserialize_document, _serialize_document

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.datamodel import PersonalDocument
 from repro.pds.server import _deserialize_document, _serialize_document
 

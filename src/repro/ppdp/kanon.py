@@ -23,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.globalq.queries import AggregateQuery
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.ppdp.generalize import (
     QuasiIdentifier,
     generalize_record,

@@ -32,23 +32,17 @@ the result rows.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator
 
 from repro.relational.planner import PlanExplain, Query, validate_query
-from repro.relational.table import TableStorage
+from repro.relational.table import TableGather, TableStorage
 from repro.relational.tjoin import TjoinIndex
 from repro.relational.tselect import TselectIndex
-from repro.relational.tuples import make_column_decoder
-from repro.storage import pager
 
 #: Default rows per output batch. At 8 bytes per buffered row slot this is
 #: 512 B — no larger than one flash page, so the batch pipeline reservation
 #: equals the legacy ``(streams + 1) * page_size`` charge by default.
 DEFAULT_BATCH_ROWS = 64
-
-_ADDRESS = struct.Struct("<IH")  # page position, slot (table.py layout)
-
 
 def intersect_sorted(postings: list[list[int]]) -> list[int]:
     """Intersection of ascending duplicate-free rowid lists, ascending.
@@ -78,71 +72,6 @@ def union_sorted(postings: list[list[int]]) -> list[int]:
     for posting in postings:
         out.update(posting)
     return sorted(out)
-
-
-class TableGather:
-    """Per-query columnar gather over one table's address + data logs.
-
-    ``fetch(rowid)`` issues exactly the page accesses ``TableStorage.read``
-    would — the rowid's address page, then its data page, in that order —
-    but decodes each page once into the requested column vectors and keeps
-    the decoded form in per-query memos, so subsequent rowids landing on
-    the same pages cost dictionary lookups instead of re-deserialization.
-    """
-
-    __slots__ = (
-        "storage",
-        "_decode_columns",
-        "_addr_memo",
-        "_data_memo",
-    )
-
-    def __init__(self, storage: TableStorage, positions: list[int]) -> None:
-        self.storage = storage
-        self._decode_columns = make_column_decoder(storage.schema, positions)
-        self._addr_memo: dict = {}
-        self._data_memo: dict = {}
-
-    def _decode_addr_page(self, page: bytes) -> list[tuple[int, int]]:
-        unpack = _ADDRESS.unpack
-        return [unpack(record) for record in pager.unpack_records(page)]
-
-    def _decode_data_page(self, page: bytes) -> dict[int, list]:
-        return self._decode_columns(pager.unpack_records(page))
-
-    def fetch(self, rowid: int) -> tuple[dict[int, list], int]:
-        """Columns of the data page holding ``rowid`` + the row's slot."""
-        addresses = self.storage.addresses
-        position, slot = addresses.locate(rowid)
-        if position == addresses.page_count:
-            # Address record still in the RAM write buffer: no page access,
-            # exactly like RecordLog.read on the buffered position.
-            try:
-                entries = self._addr_memo["buffer"]
-            except KeyError:
-                unpack = _ADDRESS.unpack
-                entries = self._addr_memo["buffer"] = [
-                    unpack(record) for record in addresses.buffered_records()
-                ]
-        else:
-            entries = addresses.pages.read_decoded(
-                position, self._decode_addr_page, memo=self._addr_memo
-            )
-        data_position, data_slot = entries[slot]
-
-        data = self.storage.data
-        if data_position == data.page_count:
-            try:
-                columns = self._data_memo["buffer"]
-            except KeyError:
-                columns = self._data_memo["buffer"] = self._decode_columns(
-                    data.buffered_records()
-                )
-        else:
-            columns = data.pages.read_decoded(
-                data_position, self._decode_data_page, memo=self._data_memo
-            )
-        return columns, data_slot
 
 
 def build_batch_plan(

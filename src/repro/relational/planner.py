@@ -108,21 +108,3 @@ def plan(
             rows, explain.residual_predicates, storages
         )
     return operators.project(rows, list(query.projection), storages), explain
-
-
-def plan_batches(
-    query: Query,
-    tjoin: TjoinIndex,
-    storages: dict[str, TableStorage],
-    tselects: dict[tuple[str, str], TselectIndex],
-    batch_rows: int,
-) -> tuple[Iterator[list[tuple]], PlanExplain]:
-    """Columnar twin of :func:`plan`: batches of projected tuples.
-
-    Same plan shape, page accesses and results as :func:`plan` (see
-    :mod:`repro.relational.batch`); differential tests run both and compare
-    rows and IO counters bit-for-bit.
-    """
-    from repro.relational import batch
-
-    return batch.build_batch_plan(query, tjoin, storages, tselects, batch_rows)

@@ -28,15 +28,15 @@ from itertools import compress
 
 from repro import obs
 from repro.errors import QueryError
+from repro.hardware.cache import CacheStats
 from repro.hardware.token import SecurePortableToken
-from repro.relational.batch import DEFAULT_BATCH_ROWS
+from repro.relational.batch import DEFAULT_BATCH_ROWS, build_batch_plan
 from repro.relational.keyindex import KeyIndex
-from repro.relational.planner import PlanExplain, Query, plan, plan_batches
+from repro.relational.planner import PlanExplain, Query, plan
 from repro.relational.schema import SchemaGraph
 from repro.relational.table import TableStorage
 from repro.relational.tjoin import AncestorLog, TjoinIndex
 from repro.relational.tselect import TselectIndex
-from repro.storage.cache import CacheStats
 
 
 @dataclass
@@ -212,7 +212,7 @@ class EmbeddedDatabase:
             "db.query", filters=len(query.filters)
         ) as span, self._ram.reservation(pipeline_bytes, tag="query:pipeline"):
             if batch_rows:
-                batches, explain = plan_batches(
+                batches, explain = build_batch_plan(
                     query, self.tjoin, self.storages, self.tselects, batch_rows
                 )
                 rows: list[tuple] = []
@@ -310,7 +310,7 @@ class EmbeddedDatabase:
             groups_handle = self._ram.allocate(0, tag="agg:groups")
             try:
                 if batch_rows:
-                    batches, explain = plan_batches(
+                    batches, explain = build_batch_plan(
                         query,
                         self.tjoin,
                         self.storages,

@@ -23,17 +23,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-# Entries are ``rowid (4 bytes) + key bytes`` (see keyindex.pack_entry);
-# slicing off the prefix compares keys without decoding rowids.
-_ENTRY_KEY = itemgetter(slice(4, None))
-_ENTRY_ROWID = struct.Struct("<I")
-
 from repro.errors import RecoveryError, StorageError
 from repro.hardware.flash import BlockAllocator
 from repro.relational.keyindex import pack_entry, unpack_entry
 from repro.relational.tuples import encode_key
 from repro.storage import pager
 from repro.storage.log import PageLog
+
+# Entries are ``rowid (4 bytes) + key bytes`` (see keyindex.pack_entry);
+# slicing off the prefix compares keys without decoding rowids.
+_ENTRY_KEY = itemgetter(slice(4, None))
+_ENTRY_ROWID = struct.Struct("<I")
 
 
 @dataclass

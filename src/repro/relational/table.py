@@ -16,7 +16,12 @@ from repro.errors import StorageError
 from repro.hardware.flash import BlockAllocator
 from repro.hardware.ram import RamArena
 from repro.relational.schema import TableSchema
-from repro.relational.tuples import deserialize_row, serialize_row
+from repro.relational.tuples import (
+    deserialize_row,
+    make_column_decoder,
+    make_predicate_mask,
+    serialize_row,
+)
 from repro.storage import pager
 from repro.storage.log import RecordAddress, RecordLog
 
@@ -91,8 +96,6 @@ class TableStorage:
         each touched page once into column vectors instead of once per row.
         ``columns`` defaults to the full schema.
         """
-        from repro.relational.batch import TableGather
-
         names = (
             list(columns)
             if columns is not None
@@ -117,8 +120,6 @@ class TableStorage:
         make_predicate_mask` — comparing encoded bytes where possible, so
         a summary-scan style ``count`` never materializes row values.
         """
-        from repro.relational.tuples import make_predicate_mask
-
         mask = make_predicate_mask(
             self.schema, self.schema.column_index(column), value
         )
@@ -147,3 +148,68 @@ class TableStorage:
         """Yield ``(rowid, row)`` in rowid order (a full sequential scan)."""
         for rowid, (_, record) in enumerate(self.data.scan()):
             yield rowid, deserialize_row(self.schema, record)
+
+
+class TableGather:
+    """Per-query columnar gather over one table's address + data logs.
+
+    ``fetch(rowid)`` issues exactly the page accesses ``TableStorage.read``
+    would — the rowid's address page, then its data page, in that order —
+    but decodes each page once into the requested column vectors and keeps
+    the decoded form in per-query memos, so subsequent rowids landing on
+    the same pages cost dictionary lookups instead of re-deserialization.
+    """
+
+    __slots__ = (
+        "storage",
+        "_decode_columns",
+        "_addr_memo",
+        "_data_memo",
+    )
+
+    def __init__(self, storage: TableStorage, positions: list[int]) -> None:
+        self.storage = storage
+        self._decode_columns = make_column_decoder(storage.schema, positions)
+        self._addr_memo: dict = {}
+        self._data_memo: dict = {}
+
+    def _decode_addr_page(self, page: bytes) -> list[tuple[int, int]]:
+        unpack = _ADDRESS.unpack
+        return [unpack(record) for record in pager.unpack_records(page)]
+
+    def _decode_data_page(self, page: bytes) -> dict[int, list]:
+        return self._decode_columns(pager.unpack_records(page))
+
+    def fetch(self, rowid: int) -> tuple[dict[int, list], int]:
+        """Columns of the data page holding ``rowid`` + the row's slot."""
+        addresses = self.storage.addresses
+        position, slot = addresses.locate(rowid)
+        if position == addresses.page_count:
+            # Address record still in the RAM write buffer: no page access,
+            # exactly like RecordLog.read on the buffered position.
+            try:
+                entries = self._addr_memo["buffer"]
+            except KeyError:
+                unpack = _ADDRESS.unpack
+                entries = self._addr_memo["buffer"] = [
+                    unpack(record) for record in addresses.buffered_records()
+                ]
+        else:
+            entries = addresses.pages.read_decoded(
+                position, self._decode_addr_page, memo=self._addr_memo
+            )
+        data_position, data_slot = entries[slot]
+
+        data = self.storage.data
+        if data_position == data.page_count:
+            try:
+                columns = self._data_memo["buffer"]
+            except KeyError:
+                columns = self._data_memo["buffer"] = self._decode_columns(
+                    data.buffered_records()
+                )
+        else:
+            columns = data.pages.read_decoded(
+                data_position, self._decode_data_page, memo=self._data_memo
+            )
+        return columns, data_slot

@@ -24,6 +24,7 @@ from repro import obs
 from repro.errors import StorageError
 from repro.hardware.flash import BlockAllocator
 from repro.hardware.ram import RamArena
+from repro.storage import pager
 from repro.storage.log import RecordAddress, RecordLog
 
 _ROWID = struct.Struct("<I")
@@ -79,8 +80,6 @@ class AncestorLog:
 
     def _decode_page(self, page: bytes) -> list[tuple[int, ...]]:
         """Decode one log page into ancestor-rowid tuples, slot order."""
-        from repro.storage import pager
-
         unpack = self._record.unpack
         return [unpack(record) for record in pager.unpack_records(page)]
 

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.hardware.cache import CacheStats
 from repro.hardware.token import SecurePortableToken
 from repro.search.analyzer import query_terms, term_frequencies
 from repro.search.inverted import SequentialInvertedIndex
-from repro.storage.cache import CacheStats
 
 #: RAM charged per entry of the top-N result heap: docid + score + heap slot.
 _HEAP_ENTRY_BYTES = 16

@@ -16,7 +16,9 @@ protocol families in that regime:
 * :class:`~repro.service.loadgen.OpenLoopLoadGenerator` — Poisson traffic
   and the saturation-knee analysis (bench E24);
 * :func:`~repro.service.reference.run_query` — the one-shot batch driver
-  every served answer must match bit-identically.
+  every served answer must match bit-identically;
+* :mod:`repro.service.top` — the text dashboard over the service's
+  ``TELEMETRY`` frames (``python -m repro.service.top``).
 """
 
 from repro.service.admission import (

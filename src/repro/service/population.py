@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.globalq.protocol import PdsNode, TokenFleet
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.net.runtime import ChurnModel, NodeRuntime
 from repro.workloads.people import CITIES, PersonRecord
 

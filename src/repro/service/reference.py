@@ -22,10 +22,16 @@ import threading
 
 from repro.errors import QueryError
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import NoisePlan, NoiseProtocol
+from repro.globalq.noise import NoiseProtocol
 from repro.globalq.parallel import DEFAULT_SHARD_SIZE, WorkerPool
-from repro.globalq.protocol import ProtocolFamily, ProtocolReport, TokenFleet
+from repro.globalq.protocol import ProtocolFamily, ProtocolReport
+from repro.globalq.queries import NoisePlan
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import TokenFleet
+from repro.hardware.flash import FlashGeometry
+from repro.hardware.profiles import HardwareProfile, smart_usb_token
+from repro.hardware.token import SecurePortableToken
+from repro.relational.query import EmbeddedDatabase
 from repro.service.descriptor import (
     FAMILY_EMBEDDED,
     FAMILY_HISTOGRAM,
@@ -33,6 +39,7 @@ from repro.service.descriptor import (
     FAMILY_SECURE_AGG,
     QueryDescriptor,
 )
+from repro.workloads import tpcd
 
 #: Lineitem count of the hosted embedded database when a descriptor leaves
 #: ``embedded_rows`` at 0.
@@ -51,12 +58,6 @@ def _embedded_db(rows: int):
     """Get-or-build the hosted TPCD-like database (caller holds the lock)."""
     db = _EMBEDDED_DBS.get(rows)
     if db is None:
-        from repro.hardware.flash import FlashGeometry
-        from repro.hardware.profiles import HardwareProfile, smart_usb_token
-        from repro.hardware.token import SecurePortableToken
-        from repro.relational.query import EmbeddedDatabase
-        from repro.workloads import tpcd
-
         base = smart_usb_token()
         profile = HardwareProfile(
             name="service-embedded",
@@ -107,8 +108,6 @@ def run_embedded(descriptor: QueryDescriptor) -> ProtocolReport:
     if query.attribute is not None:
         agg_table, agg_column = _split_attr(query.attribute)
     else:
-        from repro.workloads import tpcd
-
         agg_table, agg_column = tpcd.ROOT_TABLE, None
     rows = descriptor.embedded_rows or DEFAULT_EMBEDDED_ROWS
     with _EMBEDDED_LOCK:

@@ -42,7 +42,6 @@ from repro.errors import ProtocolError, QueryError
 from repro.globalq.continuous import (
     DEFAULT_FOLD_SHARD_SIZE,
     DeltaEmitter,
-    EncryptedDelta,
     FoldEngine,
     StandingQuery,
     WindowSpec,
@@ -50,6 +49,7 @@ from repro.globalq.continuous import (
     recollect,
     stamp_version,
 )
+from repro.net.messages import EncryptedDelta
 from repro.service.cache import ResultCache
 from repro.service.descriptor import FAMILY_SECURE_AGG, QueryDescriptor
 from repro.service.population import ServicePopulation

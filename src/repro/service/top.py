@@ -1,4 +1,4 @@
-"""``python -m repro.obs.top`` — a text dashboard over the TELEMETRY endpoint.
+"""``python -m repro.service.top`` — a text dashboard over the TELEMETRY endpoint.
 
 The :class:`~repro.service.server.SsiQueryService` answers ``TELEMETRY``
 wire frames with a live snapshot (metrics registry + sampler + flight
@@ -17,14 +17,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 import sys
 
+from repro.globalq.tokens import PdsNode, TokenFleet
+from repro.net.bus import LinkProfile, MessageBus
 from repro.net.codec import (
+    KIND_QUERY,
     KIND_TELEMETRY,
     Frame,
     decode_json_payload,
     encode_json_payload,
 )
+from repro.obs.telemetry import Telemetry
+from repro.service.descriptor import standard_mix
+from repro.service.population import ServicePopulation
+from repro.service.server import ServiceConfig, SsiQueryService
+from repro.workloads.people import CITIES, PersonRecord
 
 #: Registry keys rendered as headline scalars, in display order.
 _HEADLINE = (
@@ -164,20 +173,6 @@ def render(snapshot: dict) -> str:
 # Standalone demo / offline rendering
 # ----------------------------------------------------------------------
 async def _demo(refreshes: int = 3) -> None:
-    import random
-
-    from repro.globalq.protocol import PdsNode, TokenFleet
-    from repro.net.bus import LinkProfile, MessageBus
-    from repro.net.codec import KIND_QUERY
-    from repro.obs.telemetry import Telemetry
-    from repro.service import (
-        ServiceConfig,
-        ServicePopulation,
-        SsiQueryService,
-        standard_mix,
-    )
-    from repro.workloads.people import CITIES, PersonRecord
-
     rng = random.Random(11)
     nodes = [
         PdsNode(

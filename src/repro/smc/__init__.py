@@ -1,8 +1,8 @@
 """Secure multi-party computation toolkit (Part III's 'current solutions').
 
 The [CKV+02] data-mining primitives (secure sum, set union, intersection
-size, scalar product), Yao's millionaires' protocol, and the instrumented
-party/channel fabric all protocols report costs through.
+size, scalar product), Yao's millionaires' protocol, and the count of cryptographic operations
+they report next to the traffic of their :class:`repro.net.metrics.Channel`.
 """
 
 from repro.smc.association import (
@@ -22,7 +22,7 @@ from repro.smc.garbled import (
     garbled_millionaires,
 )
 from repro.smc.millionaire import MillionaireResult, millionaires
-from repro.smc.parties import Channel, CommStats, CryptoOps, payload_bytes
+from repro.smc.parties import CryptoOps
 from repro.smc.secure_sum import (
     SumResult,
     collude_against_site,
@@ -39,7 +39,6 @@ from repro.smc.set_ops import (
 )
 
 __all__ = [
-    "Channel",
     "Circuit",
     "GarbledComparisonResult",
     "Gate",
@@ -52,7 +51,6 @@ __all__ = [
     "garbled_millionaires",
     "mine_centralized",
     "mine_distributed",
-    "CommStats",
     "CommutativeKey",
     "CryptoOps",
     "MillionaireResult",
@@ -62,7 +60,6 @@ __all__ = [
     "make_commutative_keys",
     "millionaires",
     "paillier_secure_sum",
-    "payload_bytes",
     "ring_secure_sum",
     "secure_intersection_size",
     "secure_scalar_product",

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.smc.parties import Channel
+from repro.net.metrics import Channel
 from repro.smc.secure_sum import ring_secure_sum
 
 

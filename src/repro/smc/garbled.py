@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.smc.parties import Channel, CryptoOps
+from repro.smc.parties import CryptoOps
+from repro.net.metrics import Channel
 
 _LABEL_BYTES = 16
 

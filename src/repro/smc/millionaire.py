@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 from repro.crypto.primes import generate_prime
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
-from repro.smc.parties import Channel, CryptoOps
+from repro.smc.parties import CryptoOps
+from repro.net.metrics import Channel
 
 
 @dataclass

@@ -29,7 +29,8 @@ from repro.globalq.parallel import (
     WorkerPool,
     collect_encrypted_sum,
 )
-from repro.smc.parties import Channel, CryptoOps
+from repro.smc.parties import CryptoOps
+from repro.net.metrics import Channel
 
 DEFAULT_MODULUS = 1 << 64
 

@@ -21,7 +21,8 @@ from math import gcd
 
 from repro.crypto.paillier import PaillierPrivateKey, PaillierPublicKey
 from repro.crypto.primes import generate_safe_prime
-from repro.smc.parties import Channel, CryptoOps
+from repro.smc.parties import CryptoOps
+from repro.net.metrics import Channel
 
 
 def _hash_to_group(item: str, prime: int) -> int:

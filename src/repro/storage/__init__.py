@@ -8,7 +8,6 @@ index of the embedded search engine is a backward-chained bucket log
 """
 
 from repro.storage.bloom import BloomFilter, optimal_hash_count
-from repro.storage.cache import CacheStats, PageCache
 from repro.storage.hashbucket import ChainedBucketLog, bucket_of
 from repro.storage.log import PageLog, RecordAddress, RecordLog
 from repro.storage.recovery import (
@@ -22,12 +21,10 @@ from repro.storage.recovery import (
 
 __all__ = [
     "BloomFilter",
-    "CacheStats",
     "ChainedBucketLog",
     "Manifest",
     "MountReport",
     "MountSession",
-    "PageCache",
     "PageLog",
     "RecoveredLog",
     "RecoveredPage",

@@ -156,7 +156,7 @@ class PageLog:
     def read_page(self, position: int) -> bytes:
         """Read the page at log ``position`` (0-based append order).
 
-        Served from the allocator's :class:`~repro.storage.cache.PageCache`
+        Served from the allocator's :class:`~repro.hardware.cache.PageCache`
         when one is attached; only cache misses cost flash IO.
         """
         page_no = self._physical_page(position)
@@ -174,7 +174,9 @@ class PageLog:
         """
         cache = self.allocator.page_cache
         if cache is not None:
-            return cache.read_records(self._physical_page(position))
+            return cache.read_decoded(
+                self._physical_page(position), pager.unpack_records
+            )
         return pager.unpack_records(self.read_page(position))
 
     def read_decoded(self, position: int, decode, memo: dict | None = None):

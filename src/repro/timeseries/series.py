@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.errors import QueryError, StorageError
 from repro.hardware.flash import BlockAllocator
 from repro.hardware.ram import RamArena
+from repro.storage import pager
 from repro.storage.log import RecordLog
 
 _POINT = struct.Struct("<qd")  # timestamp, value
@@ -127,8 +128,6 @@ class TimeSeriesStore:
         return _PageSummary(position, first, last, count, total, minimum, maximum)
 
     def _page_points(self, position: int, stats: RangeStats):
-        from repro.storage import pager
-
         stats.data_pages += 1
         for record in pager.unpack_records(self.data.pages.read_page(position)):
             yield _POINT.unpack(record)

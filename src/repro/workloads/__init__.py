@@ -1,12 +1,11 @@
 """Deterministic synthetic workloads for every experiment.
 
 Document corpora (embedded search), the TPCD-like five-table schema
-(embedded SQL), personal-record populations (global protocols) and the
-standard query mixes. All generators take seeds so experiments reproduce
-bit-for-bit.
+(embedded SQL) and personal-record populations (global protocols). All
+generators take seeds so experiments reproduce bit-for-bit.
 """
 
-from repro.workloads.documents import Document, DocumentCorpus, standard_queries
+from repro.workloads.documents import Document, DocumentCorpus
 from repro.workloads.people import (
     CITIES,
     DIAGNOSES,
@@ -15,7 +14,6 @@ from repro.workloads.people import (
     generate_population,
     zipf_choice,
 )
-from repro.workloads.queries import census_queries, epidemiology_query
 from repro.workloads.tpcd import (
     MKT_SEGMENTS,
     ROOT_TABLE,
@@ -36,13 +34,10 @@ __all__ = [
     "PersonRecord",
     "ROOT_TABLE",
     "TpcdData",
-    "census_queries",
-    "epidemiology_query",
     "generate",
     "generate_population",
     "household_supplier_query",
     "load",
-    "standard_queries",
     "tpcd_schema",
     "zipf_choice",
 ]

@@ -77,15 +77,3 @@ class DocumentCorpus:
                     )
             documents.append(Document(docid, topic, " ".join(words)))
         return documents
-
-
-def standard_queries() -> list[str]:
-    """Query mix used by the E2 bench: selective, broad, multi-keyword."""
-    return [
-        "doctor prescription",
-        "invoice payment balance",
-        "meeting agenda",
-        "energy consumption meter",
-        "doctor invoice meeting",
-        "vaccine",
-    ]

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.apps.folkis import FolkNetwork
-from repro.apps.medical import MedicalDeployment, Practitioner
+from repro.apps.medical import MedicalDeployment
 from repro.apps.trustedcells import EncryptedCloudStore, SensorEvent, TrustedCell
 from repro.errors import AccessDenied, ProtocolError
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.acl import AccessRule, PrivacyPolicy, Subject
 
 

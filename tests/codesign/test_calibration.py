@@ -1,7 +1,5 @@
 """Tests pinning the analytic RAM models to the simulator's behaviour."""
 
-import pytest
-
 from repro.codesign.advisor import (
     evaluate_profile,
     recommend,

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import PowerLossError, RecoveryError, StorageError
 from repro.fault import FaultPlan
+from repro.hardware.cache import PageCache
 from repro.hardware.flash import BlockAllocator, FlashGeometry, NandFlash
 from repro.hardware.ram import RamArena
 from repro.pds.audit import AuditLog
 from repro.relational import KeyIndex, reorganize_durably, remount_index
-from repro.storage.cache import PageCache
 from repro.storage.hashbucket import ChainedBucketLog
-from repro.storage.log import PageLog, RecordAddress, RecordLog
+from repro.storage.log import PageLog, RecordLog
 from repro.storage.recovery import Manifest, mount
 
 GEOM = FlashGeometry(page_size=128, pages_per_block=4, num_blocks=64, spare_size=64)

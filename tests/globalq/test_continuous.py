@@ -21,7 +21,6 @@ from repro.errors import ProtocolError, QueryError
 from repro.globalq.continuous import (
     CIPHER_IDENTITY,
     DeltaEmitter,
-    EncryptedDelta,
     StandingQuery,
     StandingView,
     WindowSpec,
@@ -36,6 +35,7 @@ from repro.net.codec import (
     encode_delta,
     encode_delta_batch,
 )
+from repro.net.messages import EncryptedDelta
 from repro.service.population import slim_population
 from repro.service.standing import StandingRegistry
 from repro.workloads.people import PersonRecord

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.globalq.histogram import EquiDepthBucketizer
-from repro.globalq.noise import WHITE_NOISE, NoisePlan
 from repro.globalq.parallel import ShardedCollector, WorkerPool
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.queries import WHITE_NOISE, NoisePlan
+from repro.globalq.tokens import TokenFleet
 from repro.service import run_query, slim_population, standard_mix
 from repro.workloads.people import CITIES as DOMAIN
 from tests.globalq.test_parallel import CITIES, NODES, QUERY

@@ -1,7 +1,5 @@
 """Tests for private graph queries (the Part III conclusion's hard case)."""
 
-import random
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,8 @@ from repro.globalq.graphq import (
     centralized_reachability,
     private_reachability,
 )
-from repro.globalq.protocol import TokenFleet
-from repro.smc.parties import Channel
+from repro.globalq.tokens import TokenFleet
+from repro.net.metrics import Channel
 
 
 def make_graph(num_nodes=30, k=4, seed=1) -> tuple[DistributedGraph, nx.Graph]:

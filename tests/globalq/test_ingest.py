@@ -21,12 +21,12 @@ from repro.crypto.paillier import generate_keypair
 from repro.errors import ProtocolError
 from repro.globalq.continuous import (
     DeltaBatcher,
-    EncryptedDelta,
     FoldEngine,
     StandingAggregate,
     WindowSpec,
 )
 from repro.net.codec import decode_delta_batch, encode_delta_batch
+from repro.net.messages import EncryptedDelta
 
 PUBLIC, PRIVATE = generate_keypair(bits=128, rng=random.Random(17))
 SPEC = WindowSpec(width=4, slide=2)

@@ -17,12 +17,16 @@ import pytest
 from repro.crypto import symmetric
 from repro.crypto.symmetric import DeterministicCipher
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.messages import unpack_payload
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
+from repro.globalq.noise import NoiseProtocol
 from repro.globalq.parallel import ShardedCollector
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import PdsNode, TokenFleet
+from repro.net.messages import unpack_payload
 from repro.workloads.people import PersonRecord
 from tests.globalq.test_parallel import CITIES, QUERY, make_nodes
 

@@ -19,7 +19,7 @@ import pytest
 from repro.crypto.paillier import generate_keypair
 from repro.globalq import parallel
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
+from repro.globalq.noise import NoiseProtocol
 from repro.globalq.parallel import (
     ShardedCollector,
     WorkerPool,
@@ -27,10 +27,15 @@ from repro.globalq.parallel import (
     shard_seed,
     shard_slices,
 )
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    AggregateQuery,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
-from repro.smc.parties import Channel
+from repro.globalq.tokens import PdsNode, TokenFleet
+from repro.net.metrics import Channel
 from repro.smc.secure_sum import paillier_secure_sum
 from repro.workloads.people import PersonRecord
 

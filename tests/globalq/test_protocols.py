@@ -11,15 +11,16 @@ import pytest
 
 from repro.globalq.attacks import histogram_flatness
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import (
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
     COMPLEMENTARY_NOISE,
     WHITE_NOISE,
+    AggregateQuery,
     NoisePlan,
-    NoiseProtocol,
+    plaintext_answer,
 )
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.workloads.people import CITIES, generate_population
 
 

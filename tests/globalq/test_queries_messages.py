@@ -5,20 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, QueryError
-from repro.globalq.messages import (
-    FLAG_FAKE,
-    EncryptedContribution,
-    Payload,
-    pack_payload,
-    unpack_payload,
-)
 from repro.globalq.queries import (
     GLOBAL_GROUP,
-    Accumulator,
     AggregateQuery,
     local_contributions,
     plaintext_answer,
     record_matches,
+)
+from repro.net.messages import (
+    FLAG_FAKE,
+    Accumulator,
+    EncryptedContribution,
+    Payload,
+    pack_payload,
+    unpack_payload,
 )
 from repro.workloads.people import PersonRecord, generate_population
 
@@ -240,7 +240,7 @@ class TestWhereOperators:
         """End to end: a range WHERE works inside secure aggregation."""
         import random
 
-        from repro.globalq.protocol import PdsNode, TokenFleet
+        from repro.globalq.tokens import PdsNode, TokenFleet
         from repro.globalq.queries import AggregateQuery, plaintext_answer
         from repro.globalq.secureagg import SecureAggregationProtocol
 

@@ -5,11 +5,16 @@ import random
 import pytest
 
 from repro.globalq.attacks import frequency_analysis, histogram_flatness
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    AggregateQuery,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
 from repro.globalq.ssi import SsiBehavior
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.globalq.verification import (
     detection_probability,
     participating_pds_ids,
@@ -108,7 +113,7 @@ class TestWeaklyMaliciousSsi:
             fleet, ssi_behavior=behavior, rng=random.Random(5)
         )
         # Re-run the phases manually to keep the aggregation outcomes.
-        from repro.globalq.protocol import TrustedAggregator
+        from repro.globalq.tokens import TrustedAggregator
         from repro.globalq.ssi import SupportingServerInfrastructure
 
         ssi = SupportingServerInfrastructure(behavior, random.Random(5))
@@ -128,7 +133,7 @@ class TestWeaklyMaliciousSsi:
 
     def test_honest_ssi_passes_audit(self, setup):
         _, nodes, fleet = setup
-        from repro.globalq.protocol import TrustedAggregator
+        from repro.globalq.tokens import TrustedAggregator
         from repro.globalq.ssi import SupportingServerInfrastructure
 
         ssi = SupportingServerInfrastructure()

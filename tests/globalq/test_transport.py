@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.globalq.messages import EncryptedContribution
 from repro.globalq.parallel import (
     NodeContributions,
     WorkerPool,
@@ -30,9 +29,13 @@ from repro.globalq.parallel import (
     unpack_contributions,
     unpack_outcomes,
 )
-from repro.globalq.protocol import AggregationOutcome, TokenFleet
-from repro.globalq.queries import Accumulator
 from repro.globalq.ssi import HONEST, SsiBehavior
+from repro.globalq.tokens import TokenFleet
+from repro.net.messages import (
+    Accumulator,
+    AggregationOutcome,
+    EncryptedContribution,
+)
 from tests.globalq.test_keying import FAMILIES
 from tests.globalq.test_parallel import NODES, QUERY
 
@@ -208,9 +211,12 @@ def test_pooled_run_ships_no_per_node_objects(family):
     assert report == inline
     # Both phases crossed: tasks out and results back, per shard.
     assert len(pool.pickles) >= 2 * (len(NODES) // 16 + 1)
+    # Where the per-PDS and per-contribution classes live: the wire types,
+    # the token side (fleet, PDS node, aggregator), the driver, the records.
     banned = (
-        "repro.globalq.messages",
         "repro.globalq.protocol",
+        "repro.globalq.tokens",
+        "repro.net.messages",
         "repro.workloads.people",
     )
     for data in pool.pickles:

@@ -262,7 +262,7 @@ class TestNetMetrics:
         assert metrics.latency_by_phase["aggregation"].mean_ms == 7.0
 
     def test_merge_channel_stats(self):
-        from repro.smc.parties import CommStats
+        from repro.net.metrics import CommStats
 
         metrics = NetMetrics()
         stats = CommStats()

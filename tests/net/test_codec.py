@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.globalq.messages import EncryptedContribution
-from repro.globalq.protocol import AggregationOutcome
-from repro.globalq.queries import Accumulator
 from repro.net.codec import (
     KIND_ACK,
     KIND_CONTRIB,
@@ -31,6 +28,11 @@ from repro.net.codec import (
     encode_partition,
     pack_u32,
     unpack_u32,
+)
+from repro.net.messages import (
+    Accumulator,
+    AggregationOutcome,
+    EncryptedContribution,
 )
 
 
@@ -177,6 +179,16 @@ class TestContributionCodec:
         with pytest.raises(ProtocolError, match="length"):
             decode_contribution(encoded + b"z")
 
+    def test_tag_length_boundary(self):
+        """The tag length is a u16 field: 65535 bytes round-trip, one more
+        is refused as ProtocolError, not a bare struct.error."""
+        longest = EncryptedContribution(blob=b"c", group_tag=b"t" * 0xFFFF)
+        assert decode_contribution(encode_contribution(longest)) == longest
+        with pytest.raises(ProtocolError, match="65535"):
+            encode_contribution(
+                EncryptedContribution(blob=b"c", group_tag=b"t" * 0x10000)
+            )
+
 
 class TestPartitionCodec:
     def test_roundtrip(self):
@@ -196,6 +208,15 @@ class TestPartitionCodec:
         encoded = encode_partition(2, [])
         with pytest.raises(ProtocolError, match="trailing"):
             decode_partition(encoded + b"\x00")
+
+    def test_contribution_count_boundary(self):
+        """The count is a u16 field (a noise or histogram partition holds a
+        whole group or bucket): 65535 round-trip, 65536 raise ProtocolError."""
+        one = EncryptedContribution(blob=b"")
+        pid, decoded = decode_partition(encode_partition(3, [one] * 0xFFFF))
+        assert (pid, len(decoded)) == (3, 0xFFFF)
+        with pytest.raises(ProtocolError, match="65535"):
+            encode_partition(3, [one] * 0x10000)
 
 
 def outcome() -> AggregationOutcome:
@@ -234,6 +255,45 @@ class TestOutcomeCodec:
         with pytest.raises(ProtocolError, match="trailing"):
             decode_outcome(encode_outcome(5, outcome()) + b"\x00")
 
+    @staticmethod
+    def _frame(groups: list[tuple[str, float, int]]) -> bytes:
+        """An outcome payload with exactly ``groups``, however malformed."""
+        parts = [struct.pack("<IIIIII", 5, 1, 0, 0, 0, len(groups))]
+        for name, total, count in groups:
+            encoded = name.encode("utf-8")
+            parts.append(struct.pack("<H", len(encoded)) + encoded)
+            parts.append(struct.pack("<dI", total, count))
+        return b"".join(parts)
+
+    def test_zero_count_group_rejected(self):
+        """A zero count would decode, then divide by zero in an AVG."""
+        accumulator = Accumulator()
+        accumulator.add("lyon", 2.0)
+        assert self._frame([("lyon", 2.0, 1)]) == encode_outcome(
+            5, AggregationOutcome(accumulator, 1, 0, 0, set())
+        )
+        with pytest.raises(ProtocolError, match="count 0"):
+            decode_outcome(self._frame([("lyon", 2.0, 0)]))
+
+    def test_repeated_group_rejected(self):
+        """A repeated group must not silently drop the first partial."""
+        with pytest.raises(ProtocolError, match="repeated"):
+            decode_outcome(self._frame([("lyon", 2.0, 1), ("lyon", 3.0, 2)]))
+
+    def test_group_name_length_boundary(self):
+        """Group names carry a u16 length: 65535 bytes round-trip, one
+        more is refused as ProtocolError, not a bare struct.error."""
+        for size, ok in ((0xFFFF, True), (0x10000, False)):
+            accumulator = Accumulator()
+            accumulator.add("g" * size, 1.0)
+            partial = AggregationOutcome(accumulator, 1, 0, 0, set())
+            if ok:
+                decoded = decode_outcome(encode_outcome(1, partial))[1]
+                assert decoded.accumulator.sums == {"g" * size: 1.0}
+            else:
+                with pytest.raises(ProtocolError, match="65535"):
+                    encode_outcome(1, partial)
+
 
 class TestServiceFrames:
     def test_new_kinds_are_named_and_distinct(self):
@@ -269,7 +329,7 @@ class TestServiceFrames:
 
 class TestDeltaBatchCodec:
     def _entries(self, count=4):
-        from repro.globalq.continuous import EncryptedDelta
+        from repro.net.messages import EncryptedDelta
 
         return [
             (

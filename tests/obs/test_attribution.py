@@ -10,18 +10,36 @@ metrics snapshot in the experiment meta whose flash totals equal the sum of
 per-span self reads, and its trace artifacts pass ``repro.obs.check``.
 """
 
+import asyncio
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 from repro import obs
 from repro.bench.harness import Experiment, write_json
+from repro.crypto.paillier import generate_keypair
+from repro.globalq.parallel import WorkerPool, collect_encrypted_sum
+from repro.globalq.queries import AggregateQuery
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.hardware.flash import FlashGeometry
 from repro.hardware.profiles import HardwareProfile, smart_usb_token
 from repro.hardware.token import SecurePortableToken
-from repro.obs import check
+from repro.net.bus import MessageBus
+from repro.net.codec import KIND_QUERY, KIND_RESULT, Frame, encode_json_payload
+from repro.obs import check, telemetry
+from repro.obs.metrics import global_registry
+from repro.obs.telemetry import Telemetry
 from repro.relational.query import EmbeddedDatabase
+from repro.service import (
+    FAMILY_SECURE_AGG,
+    QueryDescriptor,
+    ServiceConfig,
+    ServicePopulation,
+    SsiQueryService,
+)
 from repro.workloads import tpcd
+from repro.workloads.people import CITIES, PersonRecord
 
 
 def make_db(cache_pages: int) -> EmbeddedDatabase:
@@ -179,26 +197,6 @@ def test_tracer_fully_detached_after_profile():
 # ----------------------------------------------------------------------
 # E26 tentpole: one query, one coherent trace across wire and processes
 # ----------------------------------------------------------------------
-import asyncio
-import random
-
-from repro.crypto.paillier import generate_keypair
-from repro.globalq.parallel import WorkerPool, collect_encrypted_sum
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery
-from repro.net.bus import MessageBus
-from repro.net.codec import KIND_QUERY, KIND_RESULT, Frame, encode_json_payload
-from repro.obs import telemetry
-from repro.obs.metrics import global_registry
-from repro.obs.telemetry import Telemetry
-from repro.service import (
-    FAMILY_SECURE_AGG,
-    QueryDescriptor,
-    ServiceConfig,
-    ServicePopulation,
-    SsiQueryService,
-)
-from repro.workloads.people import CITIES, PersonRecord
 
 
 def make_service_nodes(count: int = 48) -> list[PdsNode]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.cache import CacheStats
 from repro.hardware.flash import FlashStats
 from repro.net.metrics import NetMetrics
 from repro.obs.metrics import (
@@ -14,7 +15,6 @@ from repro.obs.metrics import (
     PercentileHistogram,
     global_registry,
 )
-from repro.storage.cache import CacheStats
 
 
 class TestInstruments:
@@ -223,7 +223,7 @@ class TestPercentileHistogram:
         snapshot = registry.snapshot()
         assert snapshot["svc.latency"]["count"] == 3
         assert snapshot["svc.latency"]["p50"] <= snapshot["svc.latency"]["p99"]
-        # The running summary obs.top reads for batch sizes.
+        # The running summary service.top reads for batch sizes.
         assert snapshot["svc.latency"]["min"] == 1.0
         assert snapshot["svc.latency"]["max"] == 100.0
         assert snapshot["svc.latency"]["mean"] == pytest.approx(103 / 3)

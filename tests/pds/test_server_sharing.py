@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AccessDenied
-from repro.globalq.protocol import TokenFleet
+from repro.globalq.tokens import TokenFleet
 from repro.pds.acl import AccessRule, PrivacyPolicy, Subject
 from repro.pds.datamodel import PersonalDocument, bill, energy_reading, medical_note
 from repro.pds.server import PersonalDataServer

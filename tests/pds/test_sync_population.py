@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.errors import ProtocolError
-from repro.globalq.protocol import TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.queries import AggregateQuery
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import TokenFleet
 from repro.pds.acl import AccessRule, PrivacyPolicy, Subject
 from repro.pds.datamodel import medical_note
 from repro.pds.population import PdsPopulation

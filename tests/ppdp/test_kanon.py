@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, QueryError
-from repro.globalq.protocol import PdsNode, TokenFleet
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.ppdp.generalize import (
     QuasiIdentifier,
     RangeHierarchy,
     TreeHierarchy,
     age_hierarchy,
     city_hierarchy,
-    generalize_record,
     lattice_levels,
 )
 from repro.ppdp.kanon import (

@@ -12,11 +12,11 @@ import random
 
 import pytest
 
+from repro.hardware.cache import PageCache
 from repro.hardware.flash import BlockAllocator, FlashGeometry, NandFlash
 from repro.hardware.ram import RamArena
 from repro.relational.keyindex import KeyIndex
 from repro.relational.reorg import reorganize
-from repro.storage.cache import PageCache
 from repro.storage.log import RecordLog
 
 PAGE_SIZE = 256

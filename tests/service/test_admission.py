@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetError
-from repro.globalq.continuous import EncryptedDelta
 from repro.net.codec import encode_delta_batch
+from repro.net.messages import EncryptedDelta
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import AdmissionController, Overloaded
 from repro.service.ingest import IngestPipeline

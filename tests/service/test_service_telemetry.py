@@ -5,11 +5,10 @@ import asyncio
 import json
 import random
 
-from repro.globalq.protocol import PdsNode, TokenFleet
 from repro.globalq.queries import AggregateQuery
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.net.bus import MessageBus
 from repro.obs import check as obs_check
-from repro.obs import top
 from repro.obs.telemetry import Telemetry
 from repro.service import (
     FAMILY_SECURE_AGG,
@@ -17,6 +16,7 @@ from repro.service import (
     ServiceConfig,
     ServicePopulation,
     SsiQueryService,
+    top,
 )
 from repro.service.admission import Overloaded
 from repro.workloads.people import CITIES, PersonRecord

@@ -15,7 +15,6 @@ Covers the two service-side seams of the delta-maintenance PR:
 import asyncio
 import random
 
-import pytest
 
 from repro.crypto.paillier import generate_keypair
 from repro.globalq.continuous import (

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.metrics import Channel
 from repro.smc.association import (
-    Rule,
     mine_centralized,
     mine_distributed,
 )
-from repro.smc.parties import Channel
 
 MARKET = [
     {"bread", "butter"},

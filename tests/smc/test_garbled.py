@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.net.metrics import Channel
 from repro.smc.garbled import (
     Circuit,
     Gate,
@@ -15,7 +16,7 @@ from repro.smc.garbled import (
     garble,
     garbled_millionaires,
 )
-from repro.smc.parties import Channel, CryptoOps
+from repro.smc.parties import CryptoOps
 
 
 def and_circuit() -> Circuit:

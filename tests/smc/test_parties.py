@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.globalq.messages import EncryptedContribution
-from repro.smc.parties import Channel, CommStats, CryptoOps, payload_bytes
+from repro.smc.parties import CryptoOps
+from repro.net.messages import EncryptedContribution
+from repro.net.metrics import Channel, CommStats, payload_bytes
 
 
 class TestPayloadBytes:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.paillier import generate_keypair
-from repro.smc.parties import Channel, payload_bytes
+from repro.net.metrics import Channel, payload_bytes
 from repro.smc.secure_sum import (
     collude_against_site,
     paillier_secure_sum,

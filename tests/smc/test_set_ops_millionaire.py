@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.paillier import generate_keypair as paillier_keypair
 from repro.crypto.rsa import generate_keypair as rsa_keypair
+from repro.net.metrics import Channel
 from repro.smc.millionaire import millionaires
-from repro.smc.parties import Channel
 from repro.smc.set_ops import (
     make_commutative_keys,
     secure_intersection_size,

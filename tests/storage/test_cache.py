@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import RamBudgetExceeded, StorageError
+from repro.hardware.cache import SLOT_OVERHEAD_BYTES, CacheStats, PageCache
 from repro.hardware.flash import BlockAllocator, FlashGeometry, NandFlash
 from repro.hardware.ram import RamArena
 from repro.storage import pager
-from repro.storage.cache import SLOT_OVERHEAD_BYTES, CacheStats, PageCache
 from repro.storage.log import PageLog, RecordLog
 
 PAGE_SIZE = 64
@@ -185,9 +185,7 @@ class TestDecodedReads:
             calls["n"] += 1
             return real_unpack(page)
 
-        monkeypatch.setattr(
-            "repro.storage.cache.pager.unpack_records", counting_unpack
-        )
+        monkeypatch.setattr(pager, "unpack_records", counting_unpack)
         for _ in range(5):
             assert log.read(_addr(0, 1)) == b"r1"
         assert calls["n"] == 1  # hot page decoded exactly once

@@ -10,10 +10,15 @@ import random
 
 import pytest
 
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    AggregateQuery,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
+from repro.globalq.tokens import PdsNode
 from repro.pds.acl import Subject
 from repro.pds.importers import federate
 from repro.pds.population import PdsPopulation

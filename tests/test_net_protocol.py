@@ -17,11 +17,16 @@ import pytest
 from repro.errors import ProtocolError
 from repro.globalq.async_protocol import AsyncGlobalQuery
 from repro.globalq.histogram import EquiDepthBucketizer, HistogramProtocol
-from repro.globalq.noise import WHITE_NOISE, NoisePlan, NoiseProtocol
-from repro.globalq.protocol import PdsNode, TokenFleet
-from repro.globalq.queries import AggregateQuery, plaintext_answer
+from repro.globalq.noise import NoiseProtocol
+from repro.globalq.queries import (
+    WHITE_NOISE,
+    AggregateQuery,
+    NoisePlan,
+    plaintext_answer,
+)
 from repro.globalq.secureagg import SecureAggregationProtocol
 from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure
+from repro.globalq.tokens import PdsNode, TokenFleet
 from repro.net import ChurnModel, LinkProfile
 from repro.workloads.people import CITIES, generate_population
 

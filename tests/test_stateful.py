@@ -5,24 +5,21 @@ set model; any divergence is shrunk to a minimal failing trace. These catch
 ordering/interleaving bugs that example-based tests structurally miss.
 """
 
-import random
-
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
-    initialize,
     invariant,
     rule,
 )
 
+from repro.globalq.tokens import TokenFleet
 from repro.hardware.flash import BlockAllocator, FlashGeometry, NandFlash
 from repro.hardware.ram import RamArena
 from repro.keyvalue.kv import LogKeyValueStore
 from repro.pds.datamodel import PersonalDocument
 from repro.pds.sync import ReplicaState, badge_sync
-from repro.globalq.protocol import TokenFleet
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta"]
 

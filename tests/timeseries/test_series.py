@@ -1,7 +1,5 @@
 """Tests for the embedded time-series store and downsampling."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
