@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import Experiment, render_table, run_and_print
+from repro.globalq.parallel import ShardedCollector
 from repro.globalq.queries import AggregateQuery
 from repro.globalq.secureagg import SecureAggregationProtocol
 from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure
@@ -38,10 +39,9 @@ def audit_trial(
     ssi = SupportingServerInfrastructure(
         SsiBehavior(drop_fraction=drop_fraction), random.Random(seed)
     )
-    for node in nodes:
-        ssi.collect(node.contributions(QUERY, fleet))
+    ssi.collect(ShardedCollector().collect(nodes, QUERY, fleet))
     outcomes = [
-        TrustedAggregator(fleet).aggregate(partition)
+        TrustedAggregator(fleet).aggregate(partition.blobs)
         for partition in ssi.partition_random(32)
     ]
     audit = participation_audit(

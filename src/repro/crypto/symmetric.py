@@ -23,16 +23,26 @@ bytes ``hmac.new(key, msg, hashlib.sha256).digest()`` returns (the tests
 hold the two equal), at under half the cost. A cipher derives its two
 sub-keys and builds its two PRFs in ``__init__`` and never again:
 :meth:`NondeterministicCipher.with_nonces` hands out ciphers that share the
-keyed states and differ only in their nonce source, which is how
-:class:`~repro.globalq.tokens.TokenFleet` gives every PDS its own
-``Random(cipher_seed)`` nonce stream without re-keying. Keyed states are
-never ``update()``d after construction, so threads may share them; they do
-not pickle, so worker processes rebuild the fleet from its seed.
+keyed states and differ only in their nonce source. Keyed states are never
+``update()``d after construction, so threads may share them; they do not
+pickle, so worker processes rebuild the fleet from its seed.
 
-What stays per PDS is that ``random.Random(cipher_seed)``: seeding the
-Mersenne Twister costs ~5 µs, now the largest fixed cost of a one-tuple
-PDS. It is the determinism contract of sharded collection (same nonce
-stream at any worker count), so it is left alone here.
+**What is batched.** A collection shard seals every tuple of its PDSs in
+one :meth:`NondeterministicCipher.seal_batch` call, and an aggregator token
+opens its whole partition in one :meth:`NondeterministicCipher.open_batch`
+call; both bind the keyed states' ``copy`` once per call and take the
+single-block keystream inline, since a collection tuple fits in one
+32-byte block. Their bytes are exactly those of per-message
+:meth:`~NondeterministicCipher.encrypt` / :meth:`~NondeterministicCipher.decrypt`
+(the tests hold them equal).
+
+What stays per PDS is one nonce stream seeded with that PDS's
+``cipher_seed``: it is the determinism contract of sharded collection
+(same nonces at any worker count). :meth:`~NondeterministicCipher.seal_batch`
+reseeds one scratch ``random.Random`` per stream — ``r.seed(s)`` leaves
+exactly the state ``Random(s)`` starts from — so no generator is built per
+PDS, but the Mersenne Twister seeding itself (~5 µs) is still paid once
+per contributing PDS; replacing it moves bytes.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ import random
 from repro.errors import IntegrityError
 
 _NONCE_BYTES = 16
+_NONCE_BITS = 8 * _NONCE_BYTES
 _TAG_BYTES = 16
 _DIGEST_BYTES = 32
 _BLOCK_BYTES = 64  # SHA-256 input block: HMAC pads or hashes keys to this
@@ -152,7 +163,7 @@ class NondeterministicCipher:
         return bound
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        nonce = self._rng.getrandbits(8 * _NONCE_BYTES).to_bytes(
+        nonce = self._rng.getrandbits(_NONCE_BITS).to_bytes(
             _NONCE_BYTES, "little"
         )
         sealed = nonce + _xor(
@@ -170,3 +181,93 @@ class NondeterministicCipher:
         if not hmac.compare_digest(tag, expected):
             raise IntegrityError("ciphertext failed authentication")
         return _xor(body, self._enc.keystream(nonce, len(body)))
+
+    def seal_batch(
+        self, plaintexts: list[bytes], seeds: list[int], counts: list[int]
+    ) -> list[bytes]:
+        """Encrypt ``plaintexts`` in order, one nonce stream per seed.
+
+        The first ``counts[0]`` plaintexts draw their nonces from
+        ``Random(seeds[0])``, the next ``counts[1]`` from
+        ``Random(seeds[1])``, and so on: element for element what
+        :meth:`encrypt` returns on ``with_nonces(Random(seed))``. The
+        streams come from one scratch generator local to this call, so
+        concurrent callers share nothing but the keyed states.
+        """
+        scratch = random.Random()
+        # The C seed alone: for an int it leaves the state ``Random(seed)``
+        # starts from (``Random.seed`` only adds a reset of the Gaussian
+        # cache, which ``getrandbits`` never reads).
+        reseed = super(random.Random, scratch).seed
+        draw = scratch.getrandbits
+        nonces = []
+        append = nonces.append
+        for seed, count in zip(seeds, counts):
+            reseed(seed)
+            for _ in range(count):
+                append(draw(_NONCE_BITS).to_bytes(_NONCE_BYTES, "little"))
+        enc_inner, enc_outer = self._enc._inner.copy, self._enc._outer.copy
+        mac_inner, mac_outer = self._mac._inner.copy, self._mac._outer.copy
+        keystream = self._enc.keystream
+        sealed_all = []
+        append = sealed_all.append
+        for plaintext, nonce in zip(plaintexts, nonces):
+            size = len(plaintext)
+            if size <= _DIGEST_BYTES:  # one keystream block, inline
+                inner = enc_inner()
+                inner.update(nonce + _COUNTER_ZERO)
+                outer = enc_outer()
+                outer.update(inner.digest())
+                pad = outer.digest()[:size]
+            else:
+                pad = keystream(nonce, size)
+            sealed = nonce + (
+                int.from_bytes(plaintext, "little") ^ int.from_bytes(pad, "little")
+            ).to_bytes(size, "little")
+            inner = mac_inner()
+            inner.update(sealed)
+            outer = mac_outer()
+            outer.update(inner.digest())
+            append(sealed + outer.digest()[:_TAG_BYTES])
+        return sealed_all
+
+    def open_batch(self, blobs: list[bytes]) -> list[bytes | None]:
+        """:meth:`decrypt` of every blob; ``None`` where it would raise.
+
+        A blob that is too short or fails authentication leaves ``None``
+        in its slot and does not disturb any other slot.
+        """
+        compare = hmac.compare_digest
+        enc_inner, enc_outer = self._enc._inner.copy, self._enc._outer.copy
+        mac_inner, mac_outer = self._mac._inner.copy, self._mac._outer.copy
+        keystream = self._enc.keystream
+        opened = []
+        append = opened.append
+        for blob in blobs:
+            if len(blob) < _NONCE_BYTES + _TAG_BYTES:
+                append(None)
+                continue
+            inner = mac_inner()
+            inner.update(blob[:-_TAG_BYTES])
+            outer = mac_outer()
+            outer.update(inner.digest())
+            if not compare(blob[-_TAG_BYTES:], outer.digest()[:_TAG_BYTES]):
+                append(None)
+                continue
+            nonce = blob[:_NONCE_BYTES]
+            body = blob[_NONCE_BYTES:-_TAG_BYTES]
+            size = len(body)
+            if size <= _DIGEST_BYTES:  # one keystream block, inline
+                inner = enc_inner()
+                inner.update(nonce + _COUNTER_ZERO)
+                outer = enc_outer()
+                outer.update(inner.digest())
+                pad = outer.digest()[:size]
+            else:
+                pad = keystream(nonce, size)
+            append(
+                (
+                    int.from_bytes(body, "little") ^ int.from_bytes(pad, "little")
+                ).to_bytes(size, "little")
+            )
+        return opened

@@ -66,7 +66,12 @@ from repro.net.codec import (
     pack_u32,
     unpack_u32,
 )
-from repro.net.messages import AggregationOutcome, EncryptedContribution
+from repro.net.messages import (
+    AggregationOutcome,
+    ContributionBag,
+    EncryptedContribution,
+    Partition,
+)
 from repro.net.retry import RetryPolicy, with_retries
 from repro.net.runtime import ChurnModel, NodeRuntime
 
@@ -111,7 +116,7 @@ class _SsiActor:
         self.endpoint = endpoint
         self.assign_timeout = assign_timeout
         self.seen: set[tuple[str, int]] = set()
-        self.partitions: dict[int, list[EncryptedContribution]] | None = None
+        self.partitions: dict[int, Partition] | None = None
         self.pending: list[int] = []
         self.assigned: dict[int, float] = {}
         self.completed: set[int] = set()
@@ -119,9 +124,7 @@ class _SsiActor:
         self._plan_acked = False
         self._plan_resend_at = 0.0
 
-    def open_aggregation(
-        self, partitions: dict[int, list[EncryptedContribution]]
-    ) -> None:
+    def open_aggregation(self, partitions: dict[int, Partition]) -> None:
         self.partitions = partitions
         self.pending = sorted(partitions)
 
@@ -179,7 +182,9 @@ class _SsiActor:
                 self.seen.add(key)
                 # The behaviour knobs (drop/duplicate/forge) apply here,
                 # exactly as in the synchronous collection phase.
-                self.core.collect([decode_contribution(frame.payload)])
+                self.core.collect(
+                    ContributionBag.of([decode_contribution(frame.payload)])
+                )
             # Always ACK — a weakly malicious SSI acknowledges what it
             # drops, precisely so the sender will not retry.
             await self.endpoint.send(
@@ -206,7 +211,7 @@ class _SsiActor:
             self.assigned[pid] = loop.time() + self.assign_timeout
             reply = Frame(
                 KIND_ASSIGN, self.endpoint.name, frame.seq,
-                encode_partition(pid, self.partitions[pid]),
+                encode_partition(pid, self.partitions[pid].contributions()),
             )
         elif len(self.completed) >= len(self.partitions):
             reply = Frame(KIND_FIN, self.endpoint.name, frame.seq)
@@ -341,12 +346,14 @@ class AsyncGlobalQuery:
         # the synchronous driver for the same fleet and collection seed.
         prepared: list[tuple[str, list[EncryptedContribution]]] = []
         tuples_sent = fakes_sent = 0
-        for item in family.collect(nodes, query):
-            tuples_sent += len(item.contributions)
-            fakes_sent += item.fake_count
-            name = f"pds-{item.pds_id}"
+        for pds_id, contributions, fake_count in family.collect(
+            nodes, query
+        ).per_pds():
+            tuples_sent += len(contributions)
+            fakes_sent += fake_count
+            name = f"pds-{pds_id}"
             runtime.register_node(name, queue_size=64)
-            prepared.append((name, item.contributions))
+            prepared.append((name, contributions))
 
         core = SupportingServerInfrastructure(family.ssi_behavior, rng)
         ssi = _SsiActor(core, ssi_endpoint, self.assign_timeout)
@@ -512,7 +519,9 @@ class AsyncGlobalQuery:
                 # SSI's reaper reassigns the (ciphertext) partition.
                 stats.walkaways += 1
                 continue
-            outcome = TrustedAggregator(self.family.fleet).aggregate(partition)
+            outcome = TrustedAggregator(self.family.fleet).aggregate(
+                [contribution.blob for contribution in partition]
+            )
             stats.decryptions += len(partition)
             stats.invocations += 1
             payload = encode_outcome(pid, outcome)

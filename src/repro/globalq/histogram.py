@@ -19,7 +19,7 @@ from repro.errors import ProtocolError
 from repro.globalq.protocol import ProtocolFamily
 from repro.globalq.ssi import SupportingServerInfrastructure
 from repro.globalq.tokens import TokenFleet
-from repro.net.messages import EncryptedContribution
+from repro.net.messages import ContributionBag, Partition
 
 
 class EquiDepthBucketizer:
@@ -76,11 +76,10 @@ class HistogramProtocol(ProtocolFamily):
         # public mapping.
         return {"bucketizer": self.bucketizer}
 
-    def wire_form(self, contribution: EncryptedContribution) -> bytes:
-        return contribution.blob + b"\x00" * 4  # the cleartext bucket id
+    def wire_bytes(self, bag: ContributionBag) -> int:
+        # Each blob travels with its 4-byte cleartext bucket id.
+        return super().wire_bytes(bag) + 4 * len(bag.blobs)
 
-    def partition(
-        self, ssi: SupportingServerInfrastructure
-    ) -> list[list[EncryptedContribution]]:
+    def partition(self, ssi: SupportingServerInfrastructure) -> list[Partition]:
         by_bucket = ssi.partition_by_bucket()
         return [by_bucket[bucket] for bucket in sorted(by_bucket)]

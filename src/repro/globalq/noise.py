@@ -25,7 +25,7 @@ from repro.globalq.protocol import ProtocolFamily
 from repro.globalq.queries import NoisePlan
 from repro.globalq.ssi import SupportingServerInfrastructure
 from repro.globalq.tokens import TokenFleet
-from repro.net.messages import EncryptedContribution
+from repro.net.messages import ContributionBag, Partition
 
 
 class NoiseProtocol(ProtocolFamily):
@@ -47,11 +47,9 @@ class NoiseProtocol(ProtocolFamily):
         # Fakes draw from the per-shard seeds, like the cipher nonces.
         return {"with_group_tag": True, "noise": self.noise}
 
-    def wire_form(self, contribution: EncryptedContribution) -> bytes:
-        return contribution.blob + (contribution.group_tag or b"")
+    def wire_bytes(self, bag: ContributionBag) -> int:
+        return super().wire_bytes(bag) + sum(map(len, bag.tags))
 
-    def partition(
-        self, ssi: SupportingServerInfrastructure
-    ) -> list[list[EncryptedContribution]]:
+    def partition(self, ssi: SupportingServerInfrastructure) -> list[Partition]:
         by_tag = ssi.partition_by_group_tag()
         return [by_tag[tag] for tag in sorted(by_tag)]

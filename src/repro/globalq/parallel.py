@@ -12,8 +12,9 @@ pool without giving up reproducibility:
 * each shard derives its randomness from a **deterministic shard seed**
   (SHA-256 of ``base_seed || shard index``), and every PDS inside a shard
   draws its fake plan and cipher-nonce seed from the shard stream in node
-  order — so the produced ciphertexts are bit-identical whether the shard
-  runs in-process, in any worker, or in any order;
+  order (:func:`~repro.globalq.tokens.seal_shard`) — so the produced
+  ciphertexts are bit-identical whether the shard runs in-process, in any
+  worker, or in any order;
 * workers rebuild the :class:`~repro.globalq.tokens.TokenFleet` from its
   key-derivation seed, so no key material crosses the process boundary
   inside live objects.
@@ -25,29 +26,25 @@ the tests and bench E23 assert, not an approximation: ``workers`` and
 
 **What crosses the process boundary.** Pickling an object graph costs a
 reduce call and a class lookup per object, on both sides; at 10 000 PDSs
-that cost about as much as the encryption it bought. So a task that goes to a pool
-travels as flat data, and :func:`run_shards` is the only place that
-conversion happens:
+that cost about as much as the encryption it bought. So what goes to a
+pool is flat data:
 
-* *to a collection worker*: a :class:`CollectTask` whose rows are
-  ``(pds_id, [attribute dict, ...])`` — no ``PdsNode``, no
-  ``PersonRecord`` (:func:`pack_collect_task`);
-* *from a collection worker*: one tuple of arrays and byte strings per
-  shard — pds ids, per-node tuple and fake counts, blob lengths, the
-  joined blobs, and the distinct tags / bucket ids with one index per
-  contribution (:func:`pack_contributions`), which the submitter turns
-  back into :class:`NodeContributions` (:func:`unpack_contributions`);
-* *to an aggregation worker*: an :class:`AggregateTask` — the fleet seed,
-  the sizes of a run of consecutive partitions, blob lengths and the
-  joined blobs;
+* *to a collection worker*: a :class:`CollectTask` whose columns are the
+  shard's pds ids and, per PDS, its records as attribute dicts — no
+  ``PdsNode``, no ``PersonRecord``; inline shards read the same columns;
+* *from a collection worker*: the shard's
+  :class:`~repro.net.messages.ContributionBag` as is — it is columns
+  already, and the same object an inline shard returns, so the submitter
+  rebuilds nothing;
+* *to an aggregation worker*: an :class:`AggregateTask` — the fleet seed
+  and the blob lists of a run of consecutive partitions;
 * *from an aggregation worker*: per-partition group names, sums, counts,
   the three tallies and the seen ``(pds_id, sequence)`` pairs as flat
   arrays (:func:`pack_outcomes`), turned back into
   :class:`~repro.net.messages.AggregationOutcome` objects
   (:func:`unpack_outcomes`).
 
-An inline run constructs none of this: it builds and returns the same
-objects it hands to the SSI, and aggregates each partition with the
+An inline run builds the same bag and aggregates each partition with the
 caller's own keyed fleet.
 
 The same drain drives the Paillier secure-sum collection
@@ -59,21 +56,22 @@ partial homomorphic aggregate for the SSI to merge.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import random
 import threading
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 from repro import obs
 from repro.crypto.fastexp import count_modexp
 from repro.crypto.paillier import PaillierPublicKey
-from repro.globalq.queries import AggregateQuery, local_contributions, plan_fakes
-from repro.globalq.tokens import TokenFleet, TrustedAggregator, encrypt_contributions
-from repro.net.messages import Accumulator, AggregationOutcome, EncryptedContribution
+from repro.globalq.queries import AggregateQuery
+from repro.globalq.tokens import TokenFleet, TrustedAggregator, seal_shard
+from repro.net.messages import Accumulator, AggregationOutcome, ContributionBag
 from repro.obs import telemetry
 
 #: Nodes per shard. Fixed (never derived from the worker count) so that
@@ -172,11 +170,7 @@ class WorkerPool:
         self.close()
 
 
-def _as_is(value):
-    return value
-
-
-def run_shards(fn, tasks, span_name, describe, workers, pool, wire=None):
+def run_shards(fn, tasks, span_name, describe, workers, pool):
     """Run ``fn`` over ``tasks``; yield each result inside its shard span.
 
     The one drain every sharded phase shares. Shards run inline when
@@ -186,21 +180,12 @@ def run_shards(fn, tasks, span_name, describe, workers, pool, wire=None):
     the wait for the worker's result) is still open, so whatever the
     consumer records per shard is charged to that span.
 
-    ``wire`` is the flat form of a phase whose tasks and results are object
-    graphs: ``(pack, remote, unpack)`` — ``pack(task)`` is what a worker
-    receives, ``remote`` (a module-level function) runs it there and
-    returns flat data, ``unpack`` rebuilds ``fn(task)``'s result from it.
-    It is applied only to tasks that go to a pool; inline shards call
-    ``fn(task)`` and build nothing else.
-
     A dead worker surfaces as ``BrokenProcessPool`` from this call; the
     pool is told to drop its executor first, so the next call respawns.
     """
     if pool is None and workers > 1:
         with WorkerPool(workers) as own:
-            yield from run_shards(
-                fn, tasks, span_name, describe, workers, own, wire
-            )
+            yield from run_shards(fn, tasks, span_name, describe, workers, own)
         return
 
     def shard_span(task):
@@ -211,12 +196,11 @@ def run_shards(fn, tasks, span_name, describe, workers, pool, wire=None):
             with shard_span(task) as span:
                 yield telemetry.adopt(fn(task), span)
         return
-    pack, remote, unpack = wire or (_as_is, fn, _as_is)
     try:
-        futures = [pool.submit(remote, pack(task)) for task in tasks]
+        futures = [pool.submit(fn, task) for task in tasks]
         for task, future in zip(tasks, futures):
             with shard_span(task) as span:
-                yield unpack(telemetry.adopt(future.result(), span))
+                yield telemetry.adopt(future.result(), span)
     except BrokenProcessPool:
         pool.discard_broken()
         raise
@@ -233,42 +217,31 @@ class CollectTask:
     shard_seed: int
     fleet_seed: int
     query: AggregateQuery
-    #: The shard's nodes in population order: the caller's own ``PdsNode``
-    #: objects inline; ``(pds_id, [attribute dict, ...])`` rows once
-    #: :attr:`flat` (a dict answers ``get``/``[]``/``in`` like a record).
-    nodes: tuple
+    #: The shard's PDSs in population order, as two columns: their ids,
+    #: and their records' attribute dicts (a dict answers ``get``/``[]``/
+    #: ``in`` like a record, at C speed).
+    pds_ids: list
+    records: list
     with_group_tag: bool = False
     bucketizer: object = None
     noise: object = None
     #: Distributed trace context of the submitting span (or None): lets a
     #: worker process record its shard span for adoption by the submitter.
     trace: object = None
-    #: Set by :func:`pack_collect_task`: ``nodes`` holds rows, not objects.
-    flat: bool = False
-
-
-@dataclass(slots=True)
-class NodeContributions:
-    """One PDS's collection output, tagged for accounting in the driver."""
-
-    pds_id: int
-    contributions: list
-    fake_count: int
 
 
 def collect_shard(task: CollectTask):
     """Collect one shard: the unit of work both serial and pooled paths run.
 
-    Per node, in order: (1) plan fakes from the shard stream, (2) draw the
-    cipher-nonce seed, (3) encrypt. The fixed draw order is the whole
-    determinism contract. The fleet is keyed once per shard; a node costs
-    its nonce ``Random`` plus one encryption per tuple, and a group's
-    deterministic tag is computed once per shard.
+    The fleet is keyed once per shard and
+    :func:`~repro.globalq.tokens.seal_shard` does the rest: every PDS of
+    the shard in order, one batch seal, one
+    :class:`~repro.net.messages.ContributionBag`.
 
     When the task carries a sampled trace context and runs in a worker
     process, the shard's execution span is recorded locally and shipped
     back wrapped in a :class:`~repro.obs.telemetry.TracedResult` for the
-    submitter to adopt; otherwise the plain contribution list returns.
+    submitter to adopt; otherwise the bag itself returns.
     """
     with telemetry.remote_recording(
         task.trace, f"worker-{os.getpid()}"
@@ -276,130 +249,26 @@ def collect_shard(task: CollectTask):
         with obs.span(
             "globalq.collect.shard.exec",
             shard=task.shard_index,
-            nodes=len(task.nodes),
+            nodes=len(task.pds_ids),
         ):
-            fleet = TokenFleet(task.fleet_seed)
-            tag_of = fleet.group_tagger() if task.with_group_tag else None
-            rng = random.Random(task.shard_seed)
-            out = []
-            for node in task.nodes:
-                if task.flat:
-                    pds_id, records = node
-                else:
-                    pds_id, records = node.pds_id, node.records
-                real = local_contributions(records, task.query)
-                fakes = (
-                    plan_fakes(real, task.noise, rng)
-                    if task.noise is not None
-                    else ()
-                )
-                contributions = encrypt_contributions(
-                    pds_id,
-                    real,
-                    fakes,
-                    fleet.payload_cipher(rng.getrandbits(64)),
-                    tag_of,
-                    task.bucketizer,
-                )
-                out.append(
-                    NodeContributions(pds_id, contributions, len(fakes))
-                )
-    if recording is not None:
-        return recording.wrap(out)
-    return out
-
-
-# -- flat forms for the process boundary (see the module docstring) -----
-def _join(blobs: list) -> tuple:
-    """``blobs`` as ``(lengths, joined)``."""
-    return array("I", map(len, blobs)), b"".join(blobs)
-
-
-def _chunks(sequence, sizes):
-    """Consecutive slices of ``sequence``, ``sizes[i]`` items each."""
-    end = 0
-    for size in sizes:
-        start, end = end, end + size
-        yield sequence[start:end]
-
-
-def _flat(result, pack):
-    """A worker's ``result`` with its payload packed, traced or not."""
-    if isinstance(result, telemetry.TracedResult):
-        return replace(result, result=pack(result.result))
-    return pack(result)
-
-
-def pack_collect_task(task: CollectTask) -> CollectTask:
-    """``task`` with every node reduced to a row of attribute dicts."""
-    return replace(
-        task,
-        nodes=tuple(
-            (node.pds_id, [record.attributes for record in node.records])
-            for node in task.nodes
-        ),
-        flat=True,
-    )
-
-
-def pack_contributions(shard: list) -> tuple:
-    """One shard's :class:`NodeContributions` as arrays and byte strings.
-
-    Tags and bucket ids repeat (one per group, one per bucket), so each
-    travels as a table of distinct values — ``None`` included — plus one
-    index per contribution.
-    """
-    pds_ids = array("Q")
-    tuple_counts = array("I")
-    fake_counts = array("I")
-    blobs = []
-    tags: dict = {}
-    tag_ids = array("I")
-    buckets: dict = {}
-    bucket_ids = array("I")
-    for item in shard:
-        pds_ids.append(item.pds_id)
-        tuple_counts.append(len(item.contributions))
-        fake_counts.append(item.fake_count)
-        for contribution in item.contributions:
-            blobs.append(contribution.blob)
-            tag_ids.append(tags.setdefault(contribution.group_tag, len(tags)))
-            bucket_ids.append(
-                buckets.setdefault(contribution.bucket_id, len(buckets))
+            bag = seal_shard(
+                task.pds_ids,
+                task.records,
+                task.query,
+                TokenFleet(task.fleet_seed),
+                random.Random(task.shard_seed),
+                task.noise,
+                task.with_group_tag,
+                task.bucketizer,
             )
-    return (
-        pds_ids, tuple_counts, fake_counts, *_join(blobs),
-        list(tags), tag_ids, list(buckets), bucket_ids,
-    )
+    if recording is not None:
+        return recording.wrap(bag)
+    return bag
 
 
-def unpack_contributions(flat: tuple) -> list:
-    """Inverse of :func:`pack_contributions`."""
-    (
-        pds_ids, tuple_counts, fake_counts, lengths, joined,
-        tags, tag_ids, buckets, bucket_ids,
-    ) = flat
-    contributions = [
-        EncryptedContribution(blob, tags[tag], buckets[bucket])
-        for blob, tag, bucket in zip(
-            _chunks(joined, lengths), tag_ids, bucket_ids
-        )
-    ]
-    return [
-        NodeContributions(pds_id, own, fakes)
-        for pds_id, own, fakes in zip(
-            pds_ids, _chunks(contributions, tuple_counts), fake_counts
-        )
-    ]
-
-
-def collect_shard_flat(task: CollectTask):
-    """Worker entry point: a packed task in, a packed shard out."""
-    return _flat(collect_shard(task), pack_contributions)
-
-
-#: ``run_shards(wire=...)`` of the collection phase.
-COLLECT_WIRE = (pack_collect_task, collect_shard_flat, unpack_contributions)
+_pds_id = operator.attrgetter("pds_id")
+_records = operator.attrgetter("records")
+_attributes = operator.attrgetter("attributes")
 
 
 class ShardedCollector:
@@ -436,8 +305,8 @@ class ShardedCollector:
         with_group_tag: bool = False,
         bucketizer=None,
         noise=None,
-    ) -> list[NodeContributions]:
-        """Collect the whole population; flat list in population order."""
+    ) -> ContributionBag:
+        """Collect the whole population: one bag, in population order."""
         trace = telemetry.propagated()
         tasks = [
             CollectTask(
@@ -445,7 +314,11 @@ class ShardedCollector:
                 shard_seed=shard_seed(self.base_seed, index),
                 fleet_seed=fleet.seed,
                 query=query,
-                nodes=tuple(nodes[start:stop]),
+                pds_ids=list(map(_pds_id, nodes[start:stop])),
+                records=[
+                    list(map(_attributes, records))
+                    for records in map(_records, nodes[start:stop])
+                ],
                 with_group_tag=with_group_tag,
                 bucketizer=bucketizer,
                 noise=noise,
@@ -455,14 +328,15 @@ class ShardedCollector:
                 shard_slices(len(nodes), self.shard_size)
             )
         ]
-        results: list[NodeContributions] = []
-        for shard in run_shards(
-            collect_shard, tasks, "globalq.collect.shard",
-            lambda task: {"nodes": len(task.nodes)},
-            self.workers, self.pool, COLLECT_WIRE,
-        ):
-            results.extend(shard)
-        return results
+        return ContributionBag.concat(
+            list(
+                run_shards(
+                    collect_shard, tasks, "globalq.collect.shard",
+                    lambda task: {"nodes": len(task.pds_ids)},
+                    self.workers, self.pool,
+                )
+            )
+        )
 
 
 # ----------------------------------------------------------------------
@@ -479,10 +353,8 @@ class AggregateTask:
 
     shard_index: int
     fleet_seed: int
-    #: Blobs per partition, in partition order.
-    partition_sizes: array
-    blob_lengths: array
-    blobs: bytes
+    #: Each partition's blobs, in partition order.
+    partitions: list
     #: Distributed trace context of the submitting span (or None).
     trace: object = None
 
@@ -491,8 +363,8 @@ def _runs(partitions, shard_size: int):
     """Consecutive partitions grouped until a run holds ``shard_size`` blobs."""
     run, blobs = [], 0
     for partition in partitions:
-        run.append(partition)
-        blobs += len(partition)
+        run.append(partition.blobs)
+        blobs += len(partition.blobs)
         if blobs >= shard_size:
             yield run
             run, blobs = [], 0
@@ -510,15 +382,17 @@ def aggregate_tasks(
     """
     trace = telemetry.propagated()
     return [
-        AggregateTask(
-            index,
-            fleet_seed,
-            array("I", map(len, run)),
-            *_join([c.blob for partition in run for c in partition]),
-            trace,
-        )
+        AggregateTask(index, fleet_seed, run, trace)
         for index, run in enumerate(_runs(partitions, shard_size))
     ]
+
+
+def _chunks(sequence, sizes):
+    """Consecutive slices of ``sequence``, ``sizes[i]`` items each."""
+    end = 0
+    for size in sizes:
+        start, end = end, end + size
+        yield sequence[start:end]
 
 
 def pack_outcomes(outcomes: list) -> tuple:
@@ -596,21 +470,12 @@ def aggregate_shard(task: AggregateTask):
         with obs.span(
             "globalq.aggregate.shard.exec",
             shard=task.shard_index,
-            partitions=len(task.partition_sizes),
-            blobs=len(task.blob_lengths),
+            partitions=len(task.partitions),
+            blobs=sum(map(len, task.partitions)),
         ):
             aggregator = TrustedAggregator(TokenFleet(task.fleet_seed))
-            contributions = [
-                EncryptedContribution(blob)
-                for blob in _chunks(task.blobs, task.blob_lengths)
-            ]
             result = pack_outcomes(
-                [
-                    aggregator.aggregate(partition)
-                    for partition in _chunks(
-                        contributions, task.partition_sizes
-                    )
-                ]
+                [aggregator.aggregate(blobs) for blobs in task.partitions]
             )
     if recording is not None:
         return recording.wrap(result)
@@ -627,8 +492,8 @@ def aggregate_partitions(
         aggregate_tasks(partitions, fleet_seed, shard_size),
         "globalq.aggregate.shard",
         lambda task: {
-            "partitions": len(task.partition_sizes),
-            "blobs": len(task.blob_lengths),
+            "partitions": len(task.partitions),
+            "blobs": sum(map(len, task.partitions)),
         },
         pool.workers, pool,
     ):

@@ -16,10 +16,13 @@ A family is therefore *data over one driver*: what a contribution exposes
 next to its encrypted blob (nothing / a deterministic group tag plus fakes /
 a cleartext bucket id) and hence how the SSI may partition.
 :class:`ProtocolFamily` owns the skeleton — collection through the sharded
-collector, channel accounting, the aggregator retry loop, report assembly —
+collector, traffic accounting, the aggregator retry loop, report assembly —
 and the family modules (:mod:`~repro.globalq.secureagg`,
 :mod:`~repro.globalq.noise`, :mod:`~repro.globalq.histogram`) contribute only
-their collection options, wire form and partition rule. The asynchronous
+their collection options, wire size and partition rule. One
+:class:`~repro.net.messages.ContributionBag` travels from the PDSs through
+the SSI to the tokens, and each phase's traffic is accounted in one record
+of its exact byte and message totals. The asynchronous
 driver (:mod:`repro.globalq.async_protocol`) runs the same family objects
 over a simulated network. This module also provides the report type; the
 fleet key material, the PDS node and the trusted aggregator are the token
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 
 from repro.globalq.parallel import (
     DEFAULT_SHARD_SIZE,
-    NodeContributions,
     ShardedCollector,
     WorkerPool,
     aggregate_partitions,
@@ -44,9 +46,10 @@ from repro.globalq.tokens import PdsNode, TokenFleet, TrustedAggregator
 from repro.net.messages import (
     Accumulator,
     AggregationOutcome,
-    EncryptedContribution,
+    ContributionBag,
+    Partition,
 )
-from repro.net.metrics import Channel
+from repro.net.metrics import CommStats, payload_bytes
 
 
 @dataclass
@@ -87,7 +90,7 @@ def merge_outcomes(
     the covert-adversary countermeasure is *detection*, which is why the
     report carries ``duplicates_detected`` rather than a corrected result.
     Returns ``(result, integrity_failures, duplicates_detected)``. Shared by
-    :meth:`ProtocolFamily.run` (which adds channel accounting) and
+    :meth:`ProtocolFamily.run` (which adds traffic accounting) and
     :mod:`repro.globalq.async_protocol` (whose partials already crossed the
     simulated network).
     """
@@ -108,7 +111,7 @@ class ProtocolFamily:
     """One [TNP14] family: collection options + partition rule, one driver.
 
     Subclasses say what a contribution exposes (:meth:`collection_options`,
-    :meth:`wire_form`) and how the SSI may therefore partition
+    :meth:`wire_bytes`) and how the SSI may therefore partition
     (:meth:`partition`); :meth:`run` is the only place the
     collection → partitioning → aggregation → report sequence is written.
     ``workers``/``pool`` only choose where the collection shards and the
@@ -157,13 +160,11 @@ class ProtocolFamily:
         """``ShardedCollector.collect`` options: what contributions expose."""
         return {}
 
-    def wire_form(self, contribution: EncryptedContribution) -> bytes:
-        """What one contribution costs on the PDS → SSI link."""
-        return contribution.blob
+    def wire_bytes(self, bag: ContributionBag) -> int:
+        """What ``bag`` costs on the PDS → SSI link: its blobs, by default."""
+        return sum(map(len, bag.blobs))
 
-    def partition(
-        self, ssi: SupportingServerInfrastructure
-    ) -> list[list[EncryptedContribution]]:
+    def partition(self, ssi: SupportingServerInfrastructure) -> list[Partition]:
         """The family's ``ssi.partition_*`` rule, as an ordered list."""
         raise NotImplementedError
 
@@ -175,7 +176,7 @@ class ProtocolFamily:
         nodes: list[PdsNode],
         query: AggregateQuery,
         pool: WorkerPool | None = None,
-    ) -> list[NodeContributions]:
+    ) -> ContributionBag:
         """Phase 1 as every driver runs it: deterministic shards."""
         return ShardedCollector(
             self.workers, self.shard_size, self.collection_seed,
@@ -184,21 +185,19 @@ class ProtocolFamily:
 
     def aggregate(
         self,
-        partitions: list[list[EncryptedContribution]],
+        partitions: list[Partition],
         pool: WorkerPool | None = None,
     ) -> list[AggregationOutcome]:
         """Phase 3's token work: one outcome per partition, in order.
 
-        Inline, each partition is decrypted by a token keyed from this
-        fleet; on a pool, runs of consecutive partitions go to workers
+        Inline, each partition is opened in one batch by a token keyed from
+        this fleet; on a pool, runs of consecutive partitions go to workers
         that key the fleet from its seed and do exactly the same.
         """
         pool = pool or self.pool
         if pool is None:
-            return [
-                TrustedAggregator(self.fleet).aggregate(partition)
-                for partition in partitions
-            ]
+            aggregate = TrustedAggregator(self.fleet).aggregate
+            return [aggregate(partition.blobs) for partition in partitions]
         return aggregate_partitions(
             partitions, self.fleet.seed, self.shard_size, pool
         )
@@ -219,19 +218,14 @@ class ProtocolFamily:
         query: AggregateQuery,
         pool: WorkerPool | None,
     ) -> ProtocolReport:
-        channel = Channel()
+        traffic = CommStats()
         ssi = SupportingServerInfrastructure(self.ssi_behavior, self.rng)
 
-        # Phase 1: collection — every PDS uploads what its family exposes.
-        tuples_sent = fakes_sent = 0
-        for item in self.collect(nodes, query, pool):
-            tuples_sent += len(item.contributions)
-            fakes_sent += item.fake_count
-            channel.send_batch(
-                f"pds-{item.pds_id}", "ssi",
-                [self.wire_form(c) for c in item.contributions],
-            )
-            ssi.collect(item.contributions)
+        # Phase 1: collection — every PDS uploads what its family exposes,
+        # one message per contribution.
+        bag = self.collect(nodes, query, pool)
+        traffic.record("pds", "ssi", self.wire_bytes(bag), len(bag.blobs))
+        ssi.collect(bag)
 
         # Phase 2: partitioning — the family *is* this rule.
         partitions = self.partition(ssi)
@@ -239,38 +233,40 @@ class ProtocolFamily:
         # Phase 3: one trusted token per partition, then the querier merge.
         # A token may disconnect mid-partition; the SSI reassigns the same
         # ciphertext partition to another token (pure retry: aggregation is
-        # deterministic and side-effect free until the partial is returned).
-        # The SSI's hand-offs — channel accounting and the disconnect draws
-        # — happen here, in partition order, wherever the tokens then run.
-        retries = 0
-        for index, partition in enumerate(partitions):
-            blobs = [contribution.blob for contribution in partition]
-            while True:
-                channel.send_batch("ssi", f"aggregator-{index}", blobs)
-                if self.rng.random() >= self.aggregator_failure_rate:
-                    break
+        # deterministic and side-effect free until the partial is returned),
+        # and every hand-off is traffic again. The SSI's disconnect draws
+        # happen here, in partition order, wherever the tokens then run.
+        retries = hand_off_bytes = hand_off_blobs = 0
+        for partition in partitions:
+            hand_offs = 1
+            while self.rng.random() < self.aggregator_failure_rate:
+                hand_offs += 1
                 retries += 1
                 if retries > 100 * max(1, len(partitions)):
                     raise RuntimeError("no connected tokens available")
+            hand_off_bytes += hand_offs * sum(map(len, partition.blobs))
+            hand_off_blobs += hand_offs * len(partition.blobs)
+        traffic.record("ssi", "aggregator", hand_off_bytes, hand_off_blobs)
         outcomes = self.aggregate(partitions, pool)
-        decryptions = sum(len(partition) for partition in partitions)
-        for index, outcome in enumerate(outcomes):
-            channel.send(
-                f"aggregator-{index}",
-                "querier",
-                outcome.accumulator.serialized_size(),
-            )
+        traffic.record(
+            "aggregator", "querier",
+            sum(
+                payload_bytes(outcome.accumulator.serialized_size())
+                for outcome in outcomes
+            ),
+            len(outcomes),
+        )
         result, failures, duplicates = merge_outcomes(outcomes, query)
         return ProtocolReport(
             result=result,
             protocol=self.label,
             num_pds=len(nodes),
-            tuples_sent=tuples_sent,
-            fake_tuples_sent=fakes_sent,
-            token_decryptions=decryptions,
+            tuples_sent=len(bag.blobs),
+            fake_tuples_sent=sum(bag.fake_counts),
+            token_decryptions=sum(len(p.blobs) for p in partitions),
             token_invocations=len(partitions) + 1,
-            comm_bytes=channel.stats.bytes,
-            comm_messages=channel.stats.messages,
+            comm_bytes=traffic.bytes,
+            comm_messages=traffic.messages,
             integrity_failures=failures,
             duplicates_detected=duplicates,
             aggregator_retries=retries,

@@ -104,19 +104,23 @@ def record_matches(record: PersonRecord, query: AggregateQuery) -> bool:
 def local_contributions(
     records: list[PersonRecord], query: AggregateQuery
 ) -> list[tuple[str, float]]:
-    """The ``(group, value)`` tuples one PDS contributes to the query."""
+    """The ``(group, value)`` tuples one PDS contributes to the query.
+
+    Runs once per PDS on the collection hot path, so the query's fields
+    are read once and :func:`record_matches` is only called for a WHERE.
+    """
+    attribute, group_by = query.attribute, query.group_by
+    count = query.aggregate == "COUNT"
     contributions = []
     for record in records:
-        if not record_matches(record, query):
+        if query.where and not record_matches(record, query):
             continue
-        group = (
-            str(record[query.group_by]) if query.group_by else GLOBAL_GROUP
-        )
-        if query.aggregate == "COUNT":
-            value = 1.0
-        else:
-            value = float(record[query.attribute])
-        contributions.append((group, value))
+        if attribute is not None and attribute not in record:
+            continue
+        if group_by is not None and group_by not in record:
+            continue
+        group = str(record[group_by]) if group_by else GLOBAL_GROUP
+        contributions.append((group, 1.0 if count else float(record[attribute])))
     return contributions
 
 
@@ -150,11 +154,12 @@ def plan_fakes(
     if plan.mode == NO_NOISE or plan.ratio <= 0 or not real:
         return []
     count = int(len(real) * plan.ratio + rng.random())  # stochastic rounding
-    own_groups = {group for group, _ in real}
+    if not count:
+        return []
+    pool = plan.domain
     if plan.mode == COMPLEMENTARY_NOISE:
-        pool = [g for g in plan.domain if g not in own_groups] or list(plan.domain)
-    else:
-        pool = list(plan.domain)
+        own_groups = {group for group, _ in real}
+        pool = [g for g in plan.domain if g not in own_groups] or pool
     return [
         (pool[rng.randrange(len(pool))], 0.0) for _ in range(count)
     ]

@@ -19,7 +19,7 @@ import math
 from repro.globalq.protocol import ProtocolFamily
 from repro.globalq.ssi import SupportingServerInfrastructure
 from repro.globalq.tokens import TokenFleet
-from repro.net.messages import EncryptedContribution
+from repro.net.messages import Partition
 
 
 class SecureAggregationProtocol(ProtocolFamily):
@@ -33,11 +33,9 @@ class SecureAggregationProtocol(ProtocolFamily):
         super().__init__(fleet, **driver)
         self.partition_size = partition_size
 
-    def partition(
-        self, ssi: SupportingServerInfrastructure
-    ) -> list[list[EncryptedContribution]]:
+    def partition(self, ssi: SupportingServerInfrastructure) -> list[Partition]:
         # Fixed-size random partitions: the best a blind SSI can do.
         size = self.partition_size or max(
-            1, int(math.sqrt(max(1, len(ssi.stored))))
+            1, int(math.sqrt(max(1, len(ssi.blobs))))
         )
         return ssi.partition_random(size)

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.net.messages import EncryptedContribution
+from repro.net.messages import ContributionBag, Partition
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,12 @@ class SsiObservations:
 
 
 class SupportingServerInfrastructure:
-    """Stores contributions, partitions them, optionally cheats."""
+    """Stores contributions, partitions them, optionally cheats.
+
+    What it stores is three parallel columns — ``blobs``, ``tags`` and
+    ``buckets``, with ``None`` where a contribution exposes no tag or
+    bucket — appended a bag at a time.
+    """
 
     def __init__(
         self,
@@ -54,20 +59,45 @@ class SupportingServerInfrastructure:
     ) -> None:
         self.behavior = behavior
         self.rng = rng or random.Random(0)
-        self.stored: list[EncryptedContribution] = []
+        self.blobs: list[bytes] = []
+        self.tags: list[bytes | None] = []
+        self.buckets: list[int | None] = []
         self.observations = SsiObservations()
         self._forged = False
 
     # ------------------------------------------------------------------
     # Collection (with covert attacks applied on the way in)
     # ------------------------------------------------------------------
-    def collect(self, contributions: list[EncryptedContribution]) -> None:
-        for contribution in contributions:
-            if self.rng.random() < self.behavior.drop_fraction:
+    def collect(self, bag: ContributionBag) -> None:
+        """Store ``bag``, dropping and replaying per contribution.
+
+        Each contribution costs one drop draw and, when kept, one replay
+        draw from the SSI's rng — also when honest, since the partition
+        shuffle that follows reads the same stream.
+        """
+        behavior = self.behavior
+        columns = (bag.blobs, bag.tags, bag.buckets)
+        if behavior.drop_fraction <= 0 and behavior.duplicate_fraction <= 0:
+            # Nothing is dropped or replayed, so only the stream position
+            # matters: ``random()`` takes two 32-bit Mersenne Twister
+            # words, so two draws per contribution are 128 bits each.
+            self.rng.getrandbits(128 * len(bag.blobs))
+            self._store(*columns)
+            return
+        random_ = self.rng.random
+        kept = []
+        for index in range(len(bag.blobs)):
+            if random_() < behavior.drop_fraction:
                 continue  # silently discard
-            self._store(contribution)
-            if self.rng.random() < self.behavior.duplicate_fraction:
-                self._store(contribution)  # replay
+            kept.append(index)
+            if random_() < behavior.duplicate_fraction:
+                kept.append(index)  # replay
+        self._store(
+            *(
+                None if column is None else [column[i] for i in kept]
+                for column in columns
+            )
+        )
 
     def _ensure_forgeries(self) -> None:
         """Inject ``forge_count`` fabricated blobs once, before partitioning."""
@@ -75,61 +105,69 @@ class SupportingServerInfrastructure:
             return
         self._forged = True
         for _ in range(self.behavior.forge_count):
-            self._store(self._forge())
+            self._store(*self._forge())
 
-    def _store(self, contribution: EncryptedContribution) -> None:
-        self.stored.append(contribution)
+    def _store(self, blobs: list, tags: list | None, buckets: list | None) -> None:
+        """Append columns; an absent tag or bucket column stores ``None``s."""
         obs = self.observations
-        obs.total_contributions += 1
-        obs.blob_bytes += len(contribution.blob)
-        if contribution.group_tag is not None:
-            obs.group_tag_counts[contribution.group_tag] += 1
-        if contribution.bucket_id is not None:
-            obs.bucket_counts[contribution.bucket_id] += 1
+        obs.total_contributions += len(blobs)
+        obs.blob_bytes += sum(map(len, blobs))
+        self.blobs.extend(blobs)
+        for stored, column, counter in (
+            (self.tags, tags, obs.group_tag_counts),
+            (self.buckets, buckets, obs.bucket_counts),
+        ):
+            if column is None:
+                stored.extend([None] * len(blobs))
+                continue
+            stored.extend(column)
+            counter.update(column)
+            counter.pop(None, None)  # loose contributions may lack one
 
-    def _forge(self) -> EncryptedContribution:
+    def _forge(self) -> tuple[list, list, list]:
         """A forged blob: without keys it cannot authenticate (detection!)."""
         blob = self.rng.getrandbits(8 * 64).to_bytes(64, "little")
-        template = self.rng.choice(self.stored) if self.stored else None
-        return EncryptedContribution(
-            blob=blob,
-            group_tag=template.group_tag if template else None,
-            bucket_id=template.bucket_id if template else None,
-        )
+        if not self.blobs:
+            return [blob], [None], [None]
+        # ``choice`` over the indices draws exactly as over the contributions.
+        template = self.rng.choice(range(len(self.blobs)))
+        return [blob], [self.tags[template]], [self.buckets[template]]
 
     # ------------------------------------------------------------------
     # Partitioning services (all operate on ciphertext metadata only)
     # ------------------------------------------------------------------
-    def partition_random(
-        self, partition_size: int
-    ) -> list[list[EncryptedContribution]]:
+    def partition_random(self, partition_size: int) -> list[Partition]:
         """Fixed-size random partitions (all the SSI can do without tags)."""
         self._ensure_forgeries()
         if partition_size < 1:
             raise ValueError("partition size must be >= 1")
-        shuffled = list(self.stored)
+        shuffled = list(self.blobs)
         self.rng.shuffle(shuffled)
         return [
-            shuffled[start : start + partition_size]
+            Partition(shuffled[start : start + partition_size])
             for start in range(0, len(shuffled), partition_size)
         ]
 
-    def partition_by_group_tag(self) -> dict[bytes, list[EncryptedContribution]]:
+    def partition_by_group_tag(self) -> dict[bytes, Partition]:
         """Group by deterministic tag (noise-based family)."""
-        self._ensure_forgeries()
-        partitions: dict[bytes, list[EncryptedContribution]] = {}
-        for contribution in self.stored:
-            if contribution.group_tag is None:
-                raise ValueError("contribution has no group tag to partition on")
-            partitions.setdefault(contribution.group_tag, []).append(contribution)
-        return partitions
+        return {
+            tag: Partition(blobs, group_tag=tag)
+            for tag, blobs in self._grouped(self.tags, "group tag").items()
+        }
 
-    def partition_by_bucket(self) -> dict[int, list[EncryptedContribution]]:
+    def partition_by_bucket(self) -> dict[int, Partition]:
         """Group by cleartext histogram bucket (histogram family)."""
+        return {
+            bucket: Partition(blobs, bucket_id=bucket)
+            for bucket, blobs in self._grouped(self.buckets, "bucket id").items()
+        }
+
+    def _grouped(self, keys: list, what: str) -> dict:
+        """The stored blobs grouped by ``keys``, each group in stored order."""
         self._ensure_forgeries()
-        partitions: dict[int, list[EncryptedContribution]] = {}
-        for contribution in self.stored:
-            if contribution.bucket_id is None:
-                raise ValueError("contribution has no bucket id to partition on")
-            partitions.setdefault(contribution.bucket_id, []).append(contribution)
-        return partitions
+        if None in keys:
+            raise ValueError(f"contribution has no {what} to partition on")
+        groups: dict = {}
+        for key, blob in zip(keys, self.blobs):
+            groups.setdefault(key, []).append(blob)
+        return groups

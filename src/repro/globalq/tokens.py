@@ -1,13 +1,16 @@
 """The token side of the [TNP14] protocols: keys, PDS nodes, aggregators.
 
 Everything here runs inside a citizen's secure token: the key material
-the whole fleet shares (:class:`TokenFleet`), a PDS encrypting its
-filtered tuples and planned fakes (:class:`PdsNode`,
-:func:`encrypt_contributions`), and a connected token decrypting and
-folding one partition (:class:`TrustedAggregator`). The collection
-executor (:mod:`repro.globalq.parallel`) rebuilds these from a fleet seed
-inside worker processes; the protocol driver
-(:mod:`repro.globalq.protocol`) runs them inline.
+the whole fleet shares (:class:`TokenFleet`), the PDSs of one collection
+shard filtering, planning fakes and encrypting (:func:`seal_shard`, with
+:class:`PdsNode` the one-citizen view of it), and a connected token
+decrypting and folding one partition (:class:`TrustedAggregator`). Both
+hot paths work a whole shard or partition per call, in columns: one
+:meth:`~repro.crypto.symmetric.NondeterministicCipher.seal_batch` per
+shard, one :meth:`~repro.crypto.symmetric.NondeterministicCipher.open_batch`
+per partition. The collection executor (:mod:`repro.globalq.parallel`)
+rebuilds the fleet from its seed inside worker processes; the protocol
+driver (:mod:`repro.globalq.protocol`) runs them inline.
 """
 
 from __future__ import annotations
@@ -17,14 +20,20 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.symmetric import DeterministicCipher, NondeterministicCipher
-from repro.errors import IntegrityError
-from repro.globalq.queries import AggregateQuery, local_contributions
+from repro.errors import ProtocolError
+from repro.globalq.queries import (
+    AggregateQuery,
+    NoisePlan,
+    local_contributions,
+    plan_fakes,
+)
 from repro.net.messages import (
+    FLAG_FAKE,
+    PAYLOAD_HEADER,
     Accumulator,
     AggregationOutcome,
+    ContributionBag,
     EncryptedContribution,
-    pack_fields,
-    unpack_fields,
 )
 from repro.workloads.people import PersonRecord
 
@@ -50,11 +59,13 @@ class TokenFleet:
     def payload_cipher(self, seed: int | None = None) -> NondeterministicCipher:
         """A non-deterministic cipher bound to the fleet payload key.
 
-        ``seed`` pins the nonce stream (sharded collection derives one seed
-        per PDS so results do not depend on worker scheduling, and
-        decrypt-only holders pass a constant); when absent the fleet's own
-        rng supplies it. Only the nonce source is per call — the key
-        schedule was paid in ``__init__``.
+        For single messages (PDS-to-PDS sharing, sync, the apps): ``seed``
+        pins the nonce stream — ``payload_cipher(s).encrypt`` is what
+        :func:`seal_shard` produces for a PDS whose cipher seed is ``s`` —
+        and when absent the fleet's own rng supplies it. Only the nonce
+        source is per call; the key schedule was paid in ``__init__``.
+        Collection and aggregation do not call this: they seal and open
+        whole shards and partitions on the keyed cipher itself.
         """
         if seed is None:
             seed = self._rng.getrandbits(64)
@@ -70,29 +81,63 @@ class TokenFleet:
         return functools.cache(lambda group: encrypt(group.encode("utf-8")))
 
 
-def encrypt_contributions(
-    pds_id: int,
-    real: list[tuple[str, float]],
-    fakes: list[tuple[str, float]],
-    cipher: NondeterministicCipher,
-    tag_of=None,
+def seal_shard(
+    pds_ids,
+    records,
+    query: AggregateQuery,
+    fleet: TokenFleet,
+    rng: random.Random,
+    noise: NoisePlan | None = None,
+    with_group_tag: bool = False,
     bucketizer=None,
-) -> list[EncryptedContribution]:
-    """One PDS's ``real`` tuples then its ``fakes``, in sequence order."""
-    encrypt = cipher.encrypt
-    out = []
-    sequence = 0
-    for batch, fake in ((real, False), (fakes, True)):
-        for group, value in batch:
-            out.append(
-                EncryptedContribution(
-                    encrypt(pack_fields(pds_id, sequence, group, value, fake)),
-                    tag_of(group) if tag_of is not None else None,
-                    bucketizer(group) if bucketizer is not None else None,
-                )
+) -> ContributionBag:
+    """The PDS tokens of one shard, in columns: ``records[i]`` is PDS
+    ``pds_ids[i]``'s.
+
+    Per PDS, in order: (1) filter its records, (2) plan fakes from ``rng``,
+    (3) draw its cipher-nonce seed from ``rng``, (4) pack its real tuples
+    then its fakes, in sequence order. The fixed draw order is the whole
+    determinism contract. Then one batch seal encrypts the shard, each PDS
+    under its own nonce stream, and a group's tag and bucket are computed
+    once per shard.
+    """
+    pack = PAYLOAD_HEADER.pack
+    draw = rng.getrandbits
+    plaintexts: list[bytes] = []
+    groups: list[str] = []
+    seeds: list[int] = []
+    counts: list[int] = []
+    tuple_counts: list[int] = []
+    fake_counts: list[int] = []
+    for pds_id, own in zip(pds_ids, records):
+        real = local_contributions(own, query)
+        fakes = plan_fakes(real, noise, rng) if noise is not None else ()
+        seed = draw(64)
+        count = len(real) + len(fakes)
+        tuple_counts.append(count)
+        fake_counts.append(len(fakes))
+        if not count:
+            continue  # nothing to seal: its nonce stream is never drawn
+        seeds.append(seed)
+        counts.append(count)
+        for sequence, (group, value) in enumerate(real):
+            plaintexts.append(pack(pds_id, sequence, 0, value) + group.encode())
+            groups.append(group)
+        for sequence, (group, value) in enumerate(fakes, len(real)):
+            plaintexts.append(
+                pack(pds_id, sequence, FLAG_FAKE, value) + group.encode()
             )
-            sequence += 1
-    return out
+            groups.append(group)
+    return ContributionBag(
+        list(pds_ids),
+        tuple_counts,
+        fake_counts,
+        fleet._payload.seal_batch(plaintexts, seeds, counts),
+        list(map(fleet.group_tagger(), groups)) if with_group_tag else None,
+        list(map(functools.cache(bucketizer), groups))
+        if bucketizer is not None
+        else None,
+    )
 
 
 @dataclass
@@ -106,20 +151,18 @@ class PdsNode:
         self,
         query: AggregateQuery,
         fleet: TokenFleet,
-        with_group_tag: bool = False,
-        bucketizer=None,
-        fakes: list[tuple[str, float]] | None = None,
-        cipher_seed: int | None = None,
+        rng: random.Random | None = None,
+        **options,
     ) -> list[EncryptedContribution]:
-        """Encrypt this PDS's (filtered) tuples, plus any planned fakes."""
-        return encrypt_contributions(
-            self.pds_id,
-            local_contributions(self.records, query),
-            fakes or (),
-            fleet.payload_cipher(cipher_seed),
-            fleet.group_tagger() if with_group_tag else None,
-            bucketizer,
-        )
+        """This PDS's encrypted tuples (and fakes): a one-node shard's view.
+
+        ``rng`` is the stream the fake plan and cipher seed draw from
+        (default ``Random(pds_id)``); ``options`` are :func:`seal_shard`'s.
+        """
+        return seal_shard(
+            (self.pds_id,), (self.records,), query, fleet,
+            rng or random.Random(self.pds_id), **options,
+        ).contributions()
 
 
 class TrustedAggregator:
@@ -127,34 +170,44 @@ class TrustedAggregator:
 
     def __init__(self, fleet: TokenFleet) -> None:
         self.fleet = fleet
-        # Decrypt-only: a fixed nonce seed keeps the fleet's shared rng
-        # untouched, so concurrent served queries cannot perturb it.
-        self._cipher = fleet.payload_cipher(seed=0)
 
-    def aggregate(
-        self, partition: list[EncryptedContribution]
-    ) -> AggregationOutcome:
+    def aggregate(self, blobs: list[bytes]) -> AggregationOutcome:
+        """Open ``blobs`` in one batch and fold what authenticates.
+
+        A blob failing authentication is counted and discarded; a second
+        blob of the same ``(pds_id, sequence)`` is skipped (replay inside
+        the partition); a fake is counted and dropped. An authentic but
+        malformed payload raises :class:`~repro.errors.ProtocolError`.
+        """
+        unpack = PAYLOAD_HEADER.unpack_from
+        header = PAYLOAD_HEADER.size
         accumulator = Accumulator()
+        sums, counts = accumulator.sums, accumulator.counts
         real = fakes = failures = 0
         seen: set[tuple[int, int]] = set()
-        decrypt = self._cipher.decrypt
-        for contribution in partition:
-            try:
-                pds_id, sequence, group, value, fake = unpack_fields(
-                    decrypt(contribution.blob)
-                )
-            except IntegrityError:
+        for plain in self.fleet._payload.open_batch(blobs):
+            if plain is None:
                 failures += 1  # forged or corrupted: detected, discarded
                 continue
+            if len(plain) < header:
+                raise ProtocolError("contribution payload too short")
+            pds_id, sequence, flags, value = unpack(plain)
+            try:
+                group = plain[header:].decode()
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(
+                    "contribution group is not valid UTF-8"
+                ) from exc
             identity = (pds_id, sequence)
             if identity in seen:
                 continue  # replay inside this partition: skip silently
             seen.add(identity)
-            if fake:
+            if flags & FLAG_FAKE:
                 fakes += 1
                 continue
             real += 1
-            accumulator.add(group, value)
+            sums[group] = sums.get(group, 0.0) + value
+            counts[group] = counts.get(group, 0) + 1
         return AggregationOutcome(
             accumulator=accumulator,
             real_tuples=real,

@@ -17,7 +17,10 @@ codecs encode the wire types of :mod:`repro.net.messages`:
   :class:`~repro.net.messages.EncryptedDelta` changes of standing queries.
 
 Malformed bytes always raise :class:`~repro.errors.ProtocolError`, never a
-bare struct/unicode error — receivers must be able to discard garbage.
+bare struct/unicode error — receivers must be able to discard garbage. The
+contribution, partition and outcome decoders are also *canonical*: they
+accept only the one byte string their encoder writes for a value, so a
+decoded payload re-encodes to its input.
 """
 
 from __future__ import annotations
@@ -224,6 +227,12 @@ def decode_contribution(data: bytes) -> EncryptedContribution:
     if len(data) < _CONTRIB_HEADER.size:
         raise ProtocolError("contribution frame too short")
     flags, blob_len, tag_len, bucket = _CONTRIB_HEADER.unpack_from(data, 0)
+    if flags & ~(_FLAG_TAG | _FLAG_BUCKET):
+        raise ProtocolError(f"contribution has unknown flag bits {flags:#04x}")
+    if tag_len and not flags & _FLAG_TAG:
+        raise ProtocolError("contribution carries a tag its flags do not set")
+    if bucket and not flags & _FLAG_BUCKET:
+        raise ProtocolError("contribution carries a bucket its flags do not set")
     offset = _CONTRIB_HEADER.size
     if len(data) != offset + blob_len + tag_len:
         raise ProtocolError("contribution length does not match its header")
@@ -322,12 +331,20 @@ def decode_outcome(data: bytes) -> tuple[int, AggregationOutcome]:
     )
     offset = _OUTCOME_HEADER.size
     seen: set[tuple[int, int]] = set()
+    previous = None
     for _ in range(nseen):
         if len(data) < offset + _SEEN_PAIR.size:
             raise ProtocolError("outcome frame truncated in seen set")
-        seen.add(_SEEN_PAIR.unpack_from(data, offset))
+        pair = _SEEN_PAIR.unpack_from(data, offset)
+        # encode_outcome writes the set sorted: a repeated or out-of-order
+        # pair is another byte string for the same partial.
+        if previous is not None and pair <= previous:
+            raise ProtocolError("outcome seen pairs not strictly ascending")
+        seen.add(pair)
+        previous = pair
         offset += _SEEN_PAIR.size
     accumulator = Accumulator()
+    previous = None
     for _ in range(ngroups):
         if len(data) < offset + _U16.size:
             raise ProtocolError("outcome frame truncated in groups")
@@ -348,6 +365,9 @@ def decode_outcome(data: bytes) -> tuple[int, AggregationOutcome]:
             raise ProtocolError(f"outcome group {group!r} has count 0")
         if group in accumulator.sums:
             raise ProtocolError(f"outcome group {group!r} repeated")
+        if previous is not None and group < previous:
+            raise ProtocolError("outcome groups not in ascending order")
+        previous = group
         accumulator.sums[group] = total
         accumulator.counts[group] = count
     if offset != len(data):

@@ -6,7 +6,9 @@ codec encodes them) and :mod:`repro.globalq` (whose protocols produce
 them). This module imports nothing from the rest of the system but
 :mod:`repro.errors`.
 
-A PDS contribution travels as an :class:`EncryptedContribution`:
+A PDS contribution is one slot of a :class:`ContributionBag` (a whole
+collection shard in columns); one slot read on its own is an
+:class:`EncryptedContribution`:
 
 * ``blob`` — the authenticated ciphertext of the tuple payload (always
   non-deterministic, so the payload itself never leaks);
@@ -15,11 +17,16 @@ A PDS contribution travels as an :class:`EncryptedContribution`:
 * ``bucket_id`` — optional cleartext histogram bucket (histogram family:
   leaks only the coarse bucket).
 
-The payload inside ``blob`` is ``pds_id | sequence | flags | group | value``,
-packed by :func:`pack_fields`; the ``FAKE`` flag marks noise tuples that
-trusted aggregators silently drop after decryption. The collection and
-aggregation loops pack and unpack bare fields; :class:`Payload` is the same
-five fields as a record, for callers that want one.
+The payload inside ``blob`` is :data:`PAYLOAD_HEADER` (``pds_id``,
+``sequence``, flags, ``value``) followed by the UTF-8 group; the ``FAKE``
+flag marks noise tuples that trusted aggregators silently drop after
+decryption. The collection and aggregation loops pack and unpack the
+header inline; :class:`Payload` with :func:`pack_payload` /
+:func:`unpack_payload` is the same layout as a record, for callers that
+want one.
+
+The SSI cuts a bag into :class:`Partition` objects, each holding the blobs
+one aggregator token opens.
 
 A trusted aggregator's partial travels as an :class:`AggregationOutcome`
 around an :class:`Accumulator`; a standing query's change travels as an
@@ -29,11 +36,13 @@ around an :class:`Accumulator`; a standing query's change travels as an
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
 
 from repro.errors import ProtocolError
 
-_HEADER = struct.Struct("<IIBd")  # pds_id, sequence, flags, value
+#: ``pds_id, sequence, flags, value`` — the fixed head of every payload.
+PAYLOAD_HEADER = struct.Struct("<IIBd")
 
 FLAG_FAKE = 0x01
 
@@ -55,6 +64,93 @@ class EncryptedContribution:
         return size
 
 
+@dataclass(slots=True)
+class ContributionBag:
+    """Collected contributions in columns: the in-memory form end to end.
+
+    A collection shard builds one, a worker ships it back as is, the
+    driver concatenates shards into the population's bag, and the SSI
+    stores its columns. Per PDS, in population order: ``pds_ids``,
+    ``tuple_counts`` (real plus fake) and ``fake_counts``. Per
+    contribution, PDS by PDS in sequence order: ``blobs``, and ``tags`` /
+    ``buckets`` when the family exposes them (``None`` otherwise).
+    """
+
+    pds_ids: list
+    tuple_counts: list
+    fake_counts: list
+    blobs: list
+    tags: list | None = None
+    buckets: list | None = None
+
+    @classmethod
+    def concat(cls, bags: list["ContributionBag"]) -> "ContributionBag":
+        """Shards in order, as one bag (the bag itself if there is one)."""
+        if len(bags) == 1:
+            return bags[0]
+
+        def column(name):
+            parts = [getattr(bag, name) for bag in bags]
+            if None in parts:
+                return None
+            return list(chain.from_iterable(parts))
+
+        return cls(*(column(field.name) for field in fields(cls)))
+
+    @classmethod
+    def of(cls, contributions: list[EncryptedContribution]) -> "ContributionBag":
+        """Loose contributions (one sender's, or one frame's) as a bag."""
+        tags = [c.group_tag for c in contributions]
+        buckets = [c.bucket_id for c in contributions]
+        return cls(
+            [], [], [], [c.blob for c in contributions],
+            tags if any(tag is not None for tag in tags) else None,
+            buckets if any(b is not None for b in buckets) else None,
+        )
+
+    def contributions(self) -> list[EncryptedContribution]:
+        """Every slot as an :class:`EncryptedContribution` view."""
+        count = len(self.blobs)
+        return list(
+            map(
+                EncryptedContribution,
+                self.blobs,
+                self.tags or [None] * count,
+                self.buckets or [None] * count,
+            )
+        )
+
+    def per_pds(self):
+        """``(pds_id, contributions, fake_count)`` views, PDS by PDS."""
+        contributions = self.contributions()
+        end = 0
+        for pds_id, count, fakes in zip(
+            self.pds_ids, self.tuple_counts, self.fake_counts
+        ):
+            start, end = end, end + count
+            yield pds_id, contributions[start:end], fakes
+
+
+@dataclass(frozen=True, slots=True)
+class Partition:
+    """The blobs one aggregator token opens, and what the SSI cut them on.
+
+    ``group_tag`` or ``bucket_id`` is the tag or bucket every member
+    shares; both are ``None`` for a random partition.
+    """
+
+    blobs: list
+    group_tag: bytes | None = None
+    bucket_id: int | None = None
+
+    def contributions(self) -> list[EncryptedContribution]:
+        """The members as :class:`EncryptedContribution` views."""
+        return [
+            EncryptedContribution(blob, self.group_tag, self.bucket_id)
+            for blob in self.blobs
+        ]
+
+
 @dataclass(frozen=True)
 class Payload:
     """Decrypted content of a contribution (inside a token only)."""
@@ -66,36 +162,24 @@ class Payload:
     fake: bool = False
 
 
-def pack_fields(
-    pds_id: int, sequence: int, group: str, value: float, fake: bool = False
-) -> bytes:
-    return (
-        _HEADER.pack(pds_id, sequence, FLAG_FAKE if fake else 0, value)
-        + group.encode("utf-8")
-    )
-
-
-def unpack_fields(data: bytes) -> tuple[int, int, str, float, bool]:
-    """``(pds_id, sequence, group, value, fake)`` — :class:`Payload` order."""
-    if len(data) < _HEADER.size:
-        raise ProtocolError("contribution payload too short")
-    pds_id, sequence, flags, value = _HEADER.unpack_from(data, 0)
-    try:
-        group = data[_HEADER.size :].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError("contribution group is not valid UTF-8") from exc
-    return pds_id, sequence, group, value, bool(flags & FLAG_FAKE)
-
-
 def pack_payload(payload: Payload) -> bytes:
-    return pack_fields(
-        payload.pds_id, payload.sequence, payload.group, payload.value,
-        payload.fake,
-    )
+    return PAYLOAD_HEADER.pack(
+        payload.pds_id,
+        payload.sequence,
+        FLAG_FAKE if payload.fake else 0,
+        payload.value,
+    ) + payload.group.encode("utf-8")
 
 
 def unpack_payload(data: bytes) -> Payload:
-    return Payload(*unpack_fields(data))
+    if len(data) < PAYLOAD_HEADER.size:
+        raise ProtocolError("contribution payload too short")
+    pds_id, sequence, flags, value = PAYLOAD_HEADER.unpack_from(data, 0)
+    try:
+        group = data[PAYLOAD_HEADER.size :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError("contribution group is not valid UTF-8") from exc
+    return Payload(pds_id, sequence, group, value, bool(flags & FLAG_FAKE))
 
 
 class Accumulator:

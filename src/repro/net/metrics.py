@@ -92,23 +92,6 @@ class Channel:
             self.transcript.append((sender, receiver, payload))
         return payload
 
-    def send_batch(self, sender: str, receiver: str, payloads: list) -> None:
-        """Account ``payloads`` as that many messages on one edge at once.
-
-        Totals equal one :meth:`send` per payload; an empty batch records
-        nothing, as zero sends would.
-        """
-        if not payloads:
-            return
-        self.stats.record(
-            sender, receiver,
-            sum(map(payload_bytes, payloads)), len(payloads),
-        )
-        if self.keep_transcript:
-            self.transcript.extend(
-                (sender, receiver, payload) for payload in payloads
-            )
-
 
 @dataclass
 class LatencyStats:

@@ -45,11 +45,9 @@ def collection_digests(pool: WorkerPool | None = None) -> dict[str, str]:
             workers=1, shard_size=16, base_seed=5, pool=pool
         ).collect(NODES, QUERY, TokenFleet(3), **options)
         stream = hashlib.sha256()
-        for item in collected:
-            stream.update(
-                f"{item.pds_id}:{item.fake_count}:".encode()
-            )
-            for contribution in item.contributions:
+        for pds_id, contributions, fake_count in collected.per_pds():
+            stream.update(f"{pds_id}:{fake_count}:".encode())
+            for contribution in contributions:
                 stream.update(contribution.blob)
                 stream.update(contribution.group_tag or b"-")
                 stream.update(str(contribution.bucket_id).encode())

@@ -123,8 +123,8 @@ def test_group_tags_are_memoised_per_shard_and_exact(monkeypatch):
     opener = fleet.payload_cipher(seed=0)
     per_shard: dict[int, set] = {}
     tuples = 0
-    for position, item in enumerate(collected):
-        for contribution in item.contributions:
+    for position, (_, contributions, _) in enumerate(collected.per_pds()):
+        for contribution in contributions:
             group = unpack_payload(opener.decrypt(contribution.blob)).group
             assert contribution.group_tag == fleet.deterministic.encrypt(
                 group.encode("utf-8")

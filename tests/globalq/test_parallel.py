@@ -85,10 +85,7 @@ class TestShardedCollector:
                 workers=workers, shard_size=16, base_seed=5
             ).collect(NODES, QUERY, TokenFleet(3), with_group_tag=True)
             outputs.append(
-                [
-                    (item.pds_id, [c.blob for c in item.contributions])
-                    for item in collected
-                ]
+                (collected.pds_ids, collected.tuple_counts, collected.blobs)
             )
         assert outputs[0] == outputs[1] == outputs[2]
         del fleet
@@ -102,9 +99,8 @@ class TestShardedCollector:
         other = ShardedCollector(workers=1, shard_size=32).collect(
             NODES, QUERY, TokenFleet(3)
         )
-        assert [i.contributions[0].blob for i in one] != [
-            i.contributions[0].blob for i in other
-        ]
+        assert one.pds_ids == other.pds_ids
+        assert one.blobs != other.blobs
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
@@ -127,10 +123,7 @@ class TestWorkerPool:
         ).collect(NODES, QUERY, TokenFleet(3))
 
         def blobs(collected):
-            return [
-                (i.pds_id, [c.blob for c in i.contributions])
-                for i in collected
-            ]
+            return collected.pds_ids, collected.tuple_counts, collected.blobs
 
         assert blobs(pooled_one) == blobs(pooled_two) == blobs(percall)
 

@@ -13,13 +13,14 @@ from repro.globalq.queries import (
     plaintext_answer,
 )
 from repro.globalq.secureagg import SecureAggregationProtocol
-from repro.globalq.ssi import SsiBehavior
-from repro.globalq.tokens import PdsNode, TokenFleet
+from repro.globalq.ssi import SsiBehavior, SupportingServerInfrastructure
+from repro.globalq.tokens import PdsNode, TokenFleet, TrustedAggregator
 from repro.globalq.verification import (
     detection_probability,
     participating_pds_ids,
     participation_audit,
 )
+from repro.net.messages import ContributionBag
 from repro.workloads.people import CITIES, generate_population
 
 QUERY = AggregateQuery.count(group_by="city", where=(("kind", "profile"),))
@@ -87,6 +88,56 @@ class TestFrequencyAnalysis:
         assert result.tuple_accuracy == 0.0
 
 
+def reference_store(behavior, rng, contributions):
+    """The SSI's store, contribution by contribution, as a list."""
+    stored = []
+    for contribution in contributions:
+        if rng.random() < behavior.drop_fraction:
+            continue
+        stored.append(contribution)
+        if rng.random() < behavior.duplicate_fraction:
+            stored.append(contribution)
+    return stored
+
+
+class TestBagStore:
+    """The SSI stores a whole bag; its draws are still per contribution."""
+
+    BAG = ContributionBag(
+        [0, 1, 2], [2, 0, 3], [0, 0, 1],
+        [bytes([i]) * 5 for i in range(5)],
+        [b"t1", b"t2", b"t1", b"t3", b"t1"],
+    )
+
+    @pytest.mark.parametrize(
+        "behavior",
+        [
+            SsiBehavior(),
+            SsiBehavior(drop_fraction=0.3),
+            SsiBehavior(duplicate_fraction=0.4),
+            SsiBehavior(drop_fraction=0.2, duplicate_fraction=0.5),
+        ],
+    )
+    def test_store_and_stream_match_per_contribution_model(self, behavior):
+        for seed in range(20):
+            ssi = SupportingServerInfrastructure(behavior, random.Random(seed))
+            ssi.collect(self.BAG)
+            model_rng = random.Random(seed)
+            expected = reference_store(
+                behavior, model_rng, self.BAG.contributions()
+            )
+            assert ssi.blobs == [c.blob for c in expected]
+            assert ssi.tags == [c.group_tag for c in expected]
+            assert ssi.buckets == [None] * len(expected)
+            # The partition shuffle reads the stream next: same position.
+            assert ssi.rng.getstate() == model_rng.getstate()
+            observed = ssi.observations
+            assert observed.total_contributions == len(expected)
+            assert observed.blob_bytes == 5 * len(expected)
+            assert sum(observed.group_tag_counts.values()) == len(expected)
+            assert not observed.bucket_counts
+
+
 class TestWeaklyMaliciousSsi:
     def test_forgeries_always_detected(self, setup):
         _, nodes, fleet = setup
@@ -113,15 +164,11 @@ class TestWeaklyMaliciousSsi:
             fleet, ssi_behavior=behavior, rng=random.Random(5)
         )
         # Re-run the phases manually to keep the aggregation outcomes.
-        from repro.globalq.tokens import TrustedAggregator
-        from repro.globalq.ssi import SupportingServerInfrastructure
-
         ssi = SupportingServerInfrastructure(behavior, random.Random(5))
-        for node in nodes:
-            ssi.collect(node.contributions(QUERY, fleet))
+        ssi.collect(protocol.collect(nodes, QUERY))
         partitions = ssi.partition_random(16)
         outcomes = [
-            TrustedAggregator(fleet).aggregate(partition)
+            TrustedAggregator(fleet).aggregate(partition.blobs)
             for partition in partitions
         ]
         expected_ids = {node.pds_id for node in nodes}
@@ -133,14 +180,12 @@ class TestWeaklyMaliciousSsi:
 
     def test_honest_ssi_passes_audit(self, setup):
         _, nodes, fleet = setup
-        from repro.globalq.tokens import TrustedAggregator
-        from repro.globalq.ssi import SupportingServerInfrastructure
-
         ssi = SupportingServerInfrastructure()
-        for node in nodes:
-            ssi.collect(node.contributions(QUERY, fleet))
+        ssi.collect(ContributionBag.of(
+            [c for node in nodes for c in node.contributions(QUERY, fleet)]
+        ))
         outcomes = [
-            TrustedAggregator(fleet).aggregate(partition)
+            TrustedAggregator(fleet).aggregate(partition.blobs)
             for partition in ssi.partition_random(16)
         ]
         audit = participation_audit(

@@ -3,12 +3,14 @@
 Three guards on ``repro.globalq.parallel``'s process boundary, none of
 them timed:
 
-* the shard-result and aggregate-outcome codecs round-trip every shape a
-  shard can take (hypothesis);
-* a protocol run over ``WorkerPool(2)`` reports exactly what the inline
-  run reports, for every family, SSI misbehaviour and token failure rate;
+* a shard's :class:`ContributionBag` survives a pickle round-trip as is,
+  and the aggregate-outcome codec round-trips every shape a partition can
+  take (hypothesis);
+* a collection and a protocol run over ``WorkerPool(2)`` produce exactly
+  what the inline ones produce, field by field, for every family, SSI
+  misbehaviour and token failure rate;
 * the pickles a pooled run ships name no per-PDS or per-contribution
-  class — the transport cost the codecs exist to remove.
+  class — the transport cost the columnar bag exists to remove.
 """
 
 import dataclasses
@@ -22,11 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.globalq.parallel import (
-    NodeContributions,
+    ShardedCollector,
     WorkerPool,
-    pack_contributions,
     pack_outcomes,
-    unpack_contributions,
     unpack_outcomes,
 )
 from repro.globalq.ssi import HONEST, SsiBehavior
@@ -34,28 +34,32 @@ from repro.globalq.tokens import TokenFleet
 from repro.net.messages import (
     Accumulator,
     AggregationOutcome,
-    EncryptedContribution,
+    ContributionBag,
 )
+from tests.globalq.test_golden import COLLECTION_MODES
 from tests.globalq.test_keying import FAMILIES
 from tests.globalq.test_parallel import NODES, QUERY
 
 UINT32 = st.integers(0, 2**32 - 1)
 
-contributions = st.builds(
-    EncryptedContribution,
-    blob=st.binary(max_size=80),
-    group_tag=st.none() | st.binary(max_size=16),
-    bucket_id=st.none() | st.integers(-(2**31), 2**31),
-)
-shards = st.lists(
-    st.builds(
-        NodeContributions,
-        pds_id=UINT32,
-        contributions=st.lists(contributions, max_size=5),
-        fake_count=st.integers(0, 5),
-    ),
-    max_size=8,
-)
+
+@st.composite
+def shards(draw):
+    """A shard's bag: PDSs with 0-5 tuples, tag / bucket columns or not."""
+    counts = draw(st.lists(st.integers(0, 5), max_size=8))
+    total = sum(counts)
+
+    def column(values):
+        return st.lists(values, min_size=total, max_size=total)
+
+    return ContributionBag(
+        draw(st.lists(UINT32, min_size=len(counts), max_size=len(counts))),
+        counts,
+        [draw(st.integers(0, count)) for count in counts],
+        draw(column(st.binary(max_size=80))),
+        draw(st.none() | column(st.binary(max_size=16))),
+        draw(st.none() | column(st.integers(-(2**31), 2**31))),
+    )
 
 
 @st.composite
@@ -85,13 +89,15 @@ def through_pickle(value):
 
 
 class TestCodecs:
-    @given(shards)
+    @given(shards())
     @settings(max_examples=200, deadline=None)
     def test_shard_result_round_trips(self, shard):
-        # Empty shards, nodes without tuples, zero-length blobs, and tags /
-        # bucket ids present on some contributions only.
-        flat = through_pickle(pack_contributions(shard))
-        assert unpack_contributions(flat) == shard
+        # A shard's bag is what a worker returns, with no codec between:
+        # empty shards, PDSs without tuples, zero-length blobs, and with or
+        # without tag / bucket columns, it arrives as it left.
+        back = through_pickle(shard)
+        assert back == shard
+        assert list(back.per_pds()) == list(shard.per_pds())
 
     @given(st.lists(outcomes(), max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -118,6 +124,20 @@ class TestCodecs:
                 want.integrity_failures,
                 want.seen_pds_sequences,
             )
+
+
+@pytest.mark.parametrize("mode", sorted(COLLECTION_MODES))
+def test_pooled_bag_equals_inline_field_by_field(mode, pool):
+    def collect(**where):
+        return ShardedCollector(shard_size=16, base_seed=5, **where).collect(
+            NODES, QUERY, TokenFleet(3), **COLLECTION_MODES[mode]
+        )
+
+    inline, pooled = collect(), collect(pool=pool)
+    for field in dataclasses.fields(inline):
+        assert getattr(pooled, field.name) == getattr(inline, field.name), (
+            field.name
+        )
 
 
 DRIVERS = {
@@ -211,16 +231,29 @@ def test_pooled_run_ships_no_per_node_objects(family):
     assert report == inline
     # Both phases crossed: tasks out and results back, per shard.
     assert len(pool.pickles) >= 2 * (len(NODES) // 16 + 1)
-    # Where the per-PDS and per-contribution classes live: the wire types,
-    # the token side (fleet, PDS node, aggregator), the driver, the records.
-    banned = (
+    # Where the per-PDS and per-contribution classes live: the token side
+    # (fleet, PDS node, aggregator), the driver, the records — and, among
+    # the wire types, everything but the columnar bag a shard returns.
+    banned_modules = (
         "repro.globalq.protocol",
         "repro.globalq.tokens",
-        "repro.net.messages",
         "repro.workloads.people",
     )
+    banned_classes = {
+        "Accumulator",
+        "AggregationOutcome",
+        "EncryptedContribution",
+        "Partition",
+        "Payload",
+        "PdsNode",
+        "PersonRecord",
+    }
+    shipped_bag = False
     for data in pool.pickles:
+        strings = pickled_strings(data)
         named = {
-            text for text in pickled_strings(data) if text.startswith(banned)
-        }
+            text for text in strings if text.startswith(banned_modules)
+        } | (strings & banned_classes)
         assert not named, named
+        shipped_bag |= "ContributionBag" in strings
+    assert shipped_bag

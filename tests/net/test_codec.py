@@ -295,6 +295,144 @@ class TestOutcomeCodec:
                     encode_outcome(1, partial)
 
 
+CONTRIB_HEADER = struct.Struct("<BIHi")  # flags, blob_len, tag_len, bucket
+
+
+class TestCanonicalDecoders:
+    """One byte string per message: what decodes, re-encodes to its input.
+
+    Each case below decoded before the decoders were made canonical, to a
+    value whose encoding differs from the bytes received.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, tag, bucket",
+        [
+            (0x04, b"", 0),  # an unknown flag bit
+            (0x80 | 0x01, b"t", 0),  # unknown bit beside a known one
+            (0x00, b"t", 0),  # a tag without its flag
+            (0x02, b"t", 1),  # a tag beside the bucket flag only
+            (0x00, b"", 7),  # a bucket without its flag
+            (0x01, b"t", -1),  # a bucket beside the tag flag only
+        ],
+    )
+    def test_contribution_fields_need_their_flags(self, flags, tag, bucket):
+        data = CONTRIB_HEADER.pack(flags, 1, len(tag), bucket) + b"c" + tag
+        with pytest.raises(ProtocolError, match="flag"):
+            decode_contribution(data)
+
+    @staticmethod
+    def _outcome(pairs, groups) -> bytes:
+        parts = [struct.pack("<IIIIII", 5, 1, 0, 0, len(pairs), len(groups))]
+        parts += [struct.pack("<II", *pair) for pair in pairs]
+        for name in groups:
+            encoded = name.encode("utf-8")
+            parts.append(struct.pack("<H", len(encoded)) + encoded)
+            parts.append(struct.pack("<dI", 1.0, 1))
+        return b"".join(parts)
+
+    def test_sorted_outcome_decodes(self):
+        data = self._outcome([(1, 0), (1, 1), (2, 0)], ["lyon", "paris"])
+        assert encode_outcome(*decode_outcome(data)) == data
+
+    @pytest.mark.parametrize(
+        "pairs", [[(1, 1), (1, 0)], [(2, 0), (1, 5)], [(1, 0), (1, 0)]]
+    )
+    def test_unsorted_or_repeated_seen_pairs_rejected(self, pairs):
+        with pytest.raises(ProtocolError, match="seen pairs"):
+            decode_outcome(self._outcome(pairs, ["lyon"]))
+
+    def test_unsorted_groups_rejected(self):
+        with pytest.raises(ProtocolError, match="ascending"):
+            decode_outcome(self._outcome([], ["paris", "lyon"]))
+
+
+@st.composite
+def contributions(draw):
+    return EncryptedContribution(
+        blob=draw(st.binary(max_size=24)),
+        group_tag=draw(st.none() | st.binary(max_size=8)),
+        bucket_id=draw(st.none() | st.integers(-(2**31), 2**31 - 1)),
+    )
+
+
+@st.composite
+def outcomes(draw):
+    accumulator = Accumulator()
+    for group in draw(st.lists(st.text(max_size=4), max_size=4, unique=True)):
+        accumulator.sums[group] = draw(st.floats(allow_nan=False))
+        accumulator.counts[group] = draw(st.integers(1, 2**32 - 1))
+    uint32 = st.integers(0, 2**32 - 1)
+    return AggregationOutcome(
+        accumulator=accumulator,
+        real_tuples=draw(uint32),
+        fake_tuples=draw(uint32),
+        integrity_failures=draw(uint32),
+        seen_pds_sequences=draw(
+            st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6)
+        ),
+    )
+
+
+@st.composite
+def mutants(draw, encodings):
+    """A valid encoding with a few bytes overwritten, cut or inserted."""
+    data = bytearray(draw(encodings))
+    for _ in range(draw(st.integers(1, 3))):
+        position = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(("set", "cut", "insert")))
+        if action == "insert" or position == len(data):
+            data.insert(position, draw(st.integers(0, 255)))
+        elif action == "cut":
+            del data[position]
+        else:
+            data[position] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def assert_canonical(decode, encode, data: bytes) -> None:
+    try:
+        decoded = decode(data)
+    except ProtocolError:
+        return
+    assert encode(decoded) == data
+
+
+class TestCanonicalProperties:
+    """Per payload kind: a decode raises ProtocolError or round-trips."""
+
+    @given(mutants(contributions().map(encode_contribution)))
+    @settings(max_examples=400, deadline=None)
+    def test_contribution(self, data):
+        assert_canonical(decode_contribution, encode_contribution, data)
+
+    @given(
+        mutants(
+            st.tuples(
+                st.integers(0, 2**32 - 1), st.lists(contributions(), max_size=3)
+            ).map(lambda args: encode_partition(*args))
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_partition(self, data):
+        assert_canonical(
+            decode_partition, lambda decoded: encode_partition(*decoded), data
+        )
+
+    @given(
+        mutants(
+            st.tuples(st.integers(0, 2**32 - 1), outcomes()).map(
+                lambda args: encode_outcome(*args)
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_outcome(self, data):
+        assert_canonical(
+            decode_outcome, lambda decoded: encode_outcome(*decoded), data
+        )
+
+
 class TestServiceFrames:
     def test_new_kinds_are_named_and_distinct(self):
         assert KIND_NAMES[KIND_QUERY] == "QUERY"

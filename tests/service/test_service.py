@@ -125,12 +125,12 @@ class TestSchedulerMechanics:
         def served(descriptor, seed):
             """(digest of the collected stream, the served report)."""
             stream = hashlib.sha256()
-            for item in build_protocol(descriptor, fleet, seed, domain).collect(
+            bag = build_protocol(descriptor, fleet, seed, domain).collect(
                 list(nodes), descriptor.query
-            ):
-                for contribution in item.contributions:
-                    stream.update(contribution.blob)
-                    stream.update(contribution.group_tag or b"-")
+            )
+            for contribution in bag.contributions():
+                stream.update(contribution.blob)
+                stream.update(contribution.group_tag or b"-")
             return stream.hexdigest(), run_query(
                 descriptor, nodes, fleet, seed, domain
             )

@@ -89,8 +89,8 @@ def ssi_bags(monkeypatch):
     )
     return lambda: [
         sorted(
-            (c.blob, c.group_tag or b"", c.bucket_id or 0)
-            for c in core.stored
+            (blob, tag or b"", bucket or 0)
+            for blob, tag, bucket in zip(core.blobs, core.tags, core.buckets)
         )
         for core in cores
     ]
